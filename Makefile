@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-gate profile
+.PHONY: build test test-full perfbench-test vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-gate profile
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,11 @@ test:
 # Full suite, including the experiment reproductions (several minutes).
 test-full:
 	$(GO) test ./...
+
+# perfbench is its own Go module, so the root test commands never reach its
+# tests — including the one that catches a library change breaking its build.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

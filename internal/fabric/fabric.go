@@ -124,10 +124,6 @@ type nic struct {
 	// message overtake bulk data.
 	txOrder map[uint64]sim.Time
 	rxOrder map[uint64]sim.Time
-	// pend[pendHead:] are this source's batch-queued arrivals, sorted by
-	// (arrive, seq); the drained prefix is reclaimed when the queue empties.
-	pend     []pendingArrival
-	pendHead int
 }
 
 // orderFloor returns t clamped to be no earlier than the previous value for
@@ -162,48 +158,9 @@ type Network struct {
 	// installs it to generate congestion notification packets.
 	onECN func(from, to int, fromQP, toQP uint64)
 
-	// Batched arrival processing (the NIC RX fast path). On lossless,
-	// fault-free, untraced runs every arrival-side computation — switch-port
-	// accounting, QP-cache touch, downlink serialization — is a pure
-	// function of the arrival instant, so instead of one scheduler event per
-	// message the fabric queues arrivals per source NIC and a single drain
-	// event processes a whole lookahead window of them per kernel dispatch.
-	// Arrivals are near-monotone per source (a source's TX backlog
-	// serializes in order; only the control fast lane jumps the queue), so
-	// each source queue inserts at or near its tail in O(1), and the drain
-	// K-way-merges the source heads in global (arrive, transmit) order. See
-	// Transmit for the gating and the ordering argument.
-	pendCount int
-	pendSeq   uint64
-	// drain is the pending wheel timer for the next drain; drainAt is the
-	// instant it fires (the earliest pending arrival).
-	drain      sim.Timer
-	drainArmed bool
-	drainAt    sim.Time
-	// lookahead caches Prof.Lookahead(): no transmit issued at or after the
-	// drain instant T can arrive before T+lookahead, so the window
-	// [T, T+lookahead) is closed when the drain runs.
-	lookahead sim.Duration
-	// batchOff forces the exact per-message arrival path even when the
-	// fast-path conditions hold (SetArrivalBatching). The equivalence test
-	// uses it to A/B the two paths at the same seed.
-	batchOff bool
-
 	// part is the PDES partition state (see pdes.go); nil on the legacy
 	// single-simulation path.
 	part *partition
-}
-
-// pendingArrival is one queued fast-path arrival: everything the arrival
-// computation needs, decided at transmit time. seq is the global transmit
-// order, the tie-break for equal arrival instants across sources.
-type pendingArrival struct {
-	m       *Message
-	arrive  sim.Time
-	seq     uint64
-	wire    int
-	jitter  sim.Duration
-	control bool
 }
 
 // SetECNHandler installs h as the ECN-mark notification hook; nil detaches
@@ -212,45 +169,13 @@ func (n *Network) SetECNHandler(h func(from, to int, fromQP, toQP uint64)) { n.o
 
 // SetTracer attaches an event tracer; nil detaches it. All layers above the
 // fabric (verbs, shuffle, cluster) reach the tracer through Tracer(), so a
-// single attachment instruments the whole stack. Attaching a tracer
-// disables the batched-arrival fast path from the next transmit on (traced
-// runs take the exact per-message path so traces stay byte-identical);
-// already-queued arrivals are flushed to per-message events first.
-func (n *Network) SetTracer(t *telemetry.Tracer) {
-	n.flushPending()
-	n.tr = t
-}
+// single attachment instruments the whole stack. Tracing only records: the
+// execution is the same with or without a tracer.
+func (n *Network) SetTracer(t *telemetry.Tracer) { n.tr = t }
 
 // Tracer returns the attached tracer; nil means tracing is disabled, and a
 // nil *telemetry.Tracer is safe to emit on (every method is a no-op).
 func (n *Network) Tracer() *telemetry.Tracer { return n.tr }
-
-// SetArrivalBatching enables (the default) or disables the batched-arrival
-// fast path. Disabling flushes any queued arrivals to exact per-message
-// events and routes every later transmit through the per-message path.
-//
-// Equivalence contract: both paths compute identical per-message arrival
-// arithmetic and process arrivals in the same (arrive, transmit-seq)
-// order, so all per-message timing is bit-equal. The batched path does,
-// however, schedule deliver events at drain time — earlier in the
-// kernel's global sequence than the per-message path, which schedules
-// them at the arrival instant — so when a delivery ties with an unrelated
-// event at the same virtual nanosecond the tie can resolve in the other
-// order. Both resolutions are valid serializations of simultaneous
-// events, and each path is individually deterministic per seed; at scale
-// this shifts figure-level throughput numbers by at most the last printed
-// digit (see DESIGN.md, "Kernel performance"). The equivalence test
-// drives this switch and pins the two paths identical where no such ties
-// arise.
-func (n *Network) SetArrivalBatching(on bool) {
-	if n.part != nil {
-		return // partitioned runs always use the exact per-message path
-	}
-	if !on {
-		n.flushPending()
-	}
-	n.batchOff = !on
-}
 
 // SetHost attaches an opaque host context to node i.
 func (n *Network) SetHost(i int, h any) {
@@ -272,7 +197,6 @@ func (n *Network) Host(i int) any {
 func New(s *sim.Simulation, prof Profile, n int) *Network {
 	net := &Network{Sim: s, Prof: prof, nics: make([]*nic, n)}
 	net.faults.rng = s.Rand()
-	net.lookahead = prof.Lookahead()
 	for i := range net.nics {
 		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, s.Rand()),
 			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}
@@ -306,15 +230,8 @@ func (n *Network) ResetStats() {
 	}
 }
 
-// Faults exposes the network's fault schedule for installing rules. Like
-// SetTracer it first flushes any batch-queued arrivals to per-message
-// events: messages already in flight were transmitted under the old (empty)
-// plan and keep their decided fate, while every later transmit sees the new
-// rules and takes the exact per-message path.
-func (n *Network) Faults() *FaultPlan {
-	n.flushPending()
-	return &n.faults
-}
+// Faults exposes the network's fault schedule for installing rules.
+func (n *Network) Faults() *FaultPlan { return &n.faults }
 
 // Crashed reports whether node is crash-stopped at time at (a FaultCrash
 // rule names it with Start <= at). A crashed node's links are cut: nothing
@@ -460,7 +377,7 @@ func (n *Network) Transmit(m *Message) {
 		n.loopback(m)
 		return
 	}
-	src, dst := n.nics[m.From], n.nics[m.To]
+	src := n.nics[m.From]
 	if m.Service == UD && m.Payload > prof.MTU {
 		panic(fmt.Sprintf("fabric: UD payload %d exceeds MTU %d", m.Payload, prof.MTU))
 	}
@@ -555,241 +472,92 @@ func (n *Network) Transmit(m *Message) {
 	// The message reaches the destination switch port after propagation and
 	// switching, then serializes onto the receiver downlink. The downlink is
 	// the incast bottleneck: simultaneous senders queue here.
-	arrive := txDone.Add(prof.SwitchDelay + prof.PropagationDelay)
-	if !prof.Lossy && !n.batchOff && n.tr == nil && n.faults.Empty() && !lost {
-		// Fast path: with no lossy admission, no faults, and no tracer the
-		// arrival-side computation is pure arithmetic on (arrive, NIC state),
-		// so it batches — one drain event processes a whole lookahead window
-		// of arrivals instead of one scheduler event per message. Loss and
-		// reorder draws above already happened, keeping the RNG stream
-		// byte-identical with the per-message path; a message the draw
-		// declared lost still takes the exact path so its Dropped callback
-		// runs at the arrival instant.
-		n.enqueueArrival(src, pendingArrival{m: m, arrive: arrive, wire: wire,
-			jitter: jitter, control: control})
+	f := flight{m: m, to: m.To, wire: wire, bw: bw, control: control,
+		lost: lost, corrupted: corrupted, sentAt: now, jitter: jitter, deliver: m.Deliver}
+	n.Route(m.From, m.To, txDone.Add(prof.SwitchDelay+prof.PropagationDelay),
+		func() { n.arrive(f) })
+}
+
+// flight is one message copy on the wire to node to: everything its receive
+// side needs, decided when the sender serialized it.
+type flight struct {
+	m         *Message
+	to        int
+	wire      int
+	bw        float64
+	control   bool
+	lost      bool
+	corrupted bool
+	// sentAt is when the copy started serializing; the sender's outage is
+	// judged at this instant.
+	sentAt  sim.Time
+	jitter  sim.Duration
+	deliver func(at sim.Time)
+}
+
+// arrive is the receive side of one message copy, run on the receiver's
+// partition at the instant the copy reaches the receiver's switch port. Every
+// unicast and multicast copy takes it, one scheduler event per copy.
+func (n *Network) arrive(f flight) {
+	prof := &n.Prof
+	m := f.m
+	src, dst := n.nics[m.From], n.nics[f.to]
+	dsim, dtr := n.SimAt(f.to), n.TracerAt(f.to)
+	lane := int64(0)
+	if f.control {
+		lane = 1
+	}
+	// A dark endpoint port (crash or reboot window) or a partitioned link
+	// kills the message on the wire regardless of class: unlike FaultRCLoss
+	// this also swallows infrastructure transfers (nil Dropped), exactly as
+	// a dead port or severed trunk would. The sender's outage is judged at
+	// serialization time, the receiver's and the link's at arrival.
+	if f.lost || (!n.faults.Empty() && n.faults.severed(m.From, f.to, f.sentAt, dsim.Now())) {
+		if m.Service == UD {
+			dst.stats.UDDropped++
+		} else {
+			dst.stats.RCDropped++
+		}
+		dtr.Instant(dsim.Now(), telemetry.EvDrop, int32(f.to), m.ToQP, int64(m.Payload), lane)
+		if m.Dropped != nil {
+			m.Dropped()
+		}
 		return
 	}
-	n.Route(m.From, m.To, arrive, func() {
-		// From here on the computation executes on the receiver's partition.
-		dsim, dtr := n.SimAt(m.To), n.TracerAt(m.To)
-		// A dark endpoint port (crash or reboot window) or a partitioned link
-		// kills the message on the wire regardless of class: unlike
-		// FaultRCLoss this also swallows infrastructure transfers (nil
-		// Dropped), exactly as a dead port or severed trunk would. The
-		// sender's outage is judged at serialization time, the receiver's and
-		// the link's at arrival.
-		if !lost && !n.faults.Empty() &&
-			n.faults.severed(m.From, m.To, now, dsim.Now()) {
-			lost = true
-		}
-		if lost {
+	rnow := dsim.Now()
+	if !n.faults.Empty() {
+		// A paused receiver NIC starts no downlink serialization until its
+		// pause window closes.
+		rnow = n.faults.pausedUntil(f.to, rnow)
+	}
+	marked := false
+	if prof.Lossy && !f.control {
+		var tailDropped bool
+		tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, f.wire, f.bw,
+			m.Service == UD || m.Dropped != nil, rnow)
+		if tailDropped {
+			udBit := int64(0)
 			if m.Service == UD {
+				udBit = 1
 				dst.stats.UDDropped++
 			} else {
 				dst.stats.RCDropped++
 			}
-			dtr.Instant(dsim.Now(), telemetry.EvDrop, int32(m.To), m.ToQP, int64(m.Payload), lane)
+			dtr.Instant(rnow, telemetry.EvTailDrop, int32(f.to), m.ToQP, int64(m.Payload), udBit)
 			if m.Dropped != nil {
 				m.Dropped()
 			}
 			return
 		}
-		rnow := dsim.Now()
-		if !n.faults.Empty() {
-			rnow = n.faults.pausedUntil(m.To, rnow)
-		}
-		marked := false
-		if prof.Lossy && !control {
-			var tailDropped bool
-			tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, wire, bw,
-				m.Service == UD || m.Dropped != nil, rnow)
-			if tailDropped {
-				udBit := int64(0)
-				if m.Service == UD {
-					udBit = 1
-					dst.stats.UDDropped++
-				} else {
-					dst.stats.RCDropped++
-				}
-				dtr.Instant(rnow, telemetry.EvTailDrop, int32(m.To), m.ToQP, int64(m.Payload), udBit)
-				if m.Dropped != nil {
-					m.Dropped()
-				}
-				return
-			}
-		}
-		rxOcc := n.touch(dst, m.ToQP) + Serialize(wire, bw)
-		if q := dst.rxBusy.Sub(rnow); q > dst.stats.RxBacklogPeak {
-			dst.stats.RxBacklogPeak = q
-		}
-		var rxDone sim.Time
-		if control {
-			// Same packet-granularity arbitration on the switch egress port.
-			rxDone = rnow.Add(Serialize(prof.MTU, bw) + rxOcc)
-			dst.rxBusy = dst.rxBusy.Add(rxOcc)
-			if dst.rxBusy < rnow {
-				dst.rxBusy = rnow
-			}
-		} else {
-			rstart := rnow
-			if dst.rxBusy > rstart {
-				rstart = dst.rxBusy
-			}
-			rxDone = rstart.Add(rxOcc)
-			dst.rxBusy = rxDone
-		}
-		if corrupted {
-			// One packet failed its CRC: the receiver NAKs, the sender
-			// re-serializes that packet after a round trip.
-			pkt := wire
-			if lim := prof.MTU + prof.HeaderRC; pkt > lim {
-				pkt = lim
-			}
-			rxDone = rxDone.Add(Serialize(pkt, bw) + 2*prof.PropagationDelay + prof.SwitchDelay)
-			dst.stats.RCRetransmits++
-		}
-		if m.Service == RC {
-			rxDone = orderFloor(dst.rxOrder, m.ToQP, rxDone)
-		}
-		dst.stats.RxMessages++
-		dst.stats.RxBytes += int64(m.Payload)
-		if control {
-			dst.stats.RxControlBytes += int64(wire)
-		} else {
-			dst.stats.RxDataBytes += int64(wire)
-		}
-		if marked && n.onECN != nil {
-			dsim.At(rxDone, func() { n.onECN(m.From, m.To, m.FromQP, m.ToQP) })
-		}
-		dsim.At(rxDone.Add(jitter), func() { m.Deliver(dsim.Now()) })
-	})
-}
-
-// enqueueArrival queues a fast-path arrival on its source NIC and makes
-// sure the drain timer fires no later than the earliest pending arrival.
-// A source's bulk backlog serializes in order, so insertion lands at or
-// near the queue tail; only a control-lane message overtaking queued bulk
-// data scans deeper.
-func (n *Network) enqueueArrival(src *nic, pa pendingArrival) {
-	n.pendSeq++
-	pa.seq = n.pendSeq
-	i := len(src.pend)
-	for i > src.pendHead && src.pend[i-1].arrive > pa.arrive {
-		i--
 	}
-	src.pend = append(src.pend, pendingArrival{})
-	copy(src.pend[i+1:], src.pend[i:])
-	src.pend[i] = pa
-	n.pendCount++
-	if !n.drainArmed || pa.arrive < n.drainAt {
-		if n.drainArmed {
-			n.drain.Stop()
-		}
-		n.drainArmed = true
-		if i == src.pendHead {
-			n.drainAt = pa.arrive
-		} else {
-			n.drainAt = n.pendMin().arrive
-		}
-		n.drain = n.Sim.AfterTimer(n.drainAt.Sub(n.Sim.Now()), n.drainFire)
-	}
-}
-
-// pendMin returns the globally earliest pending arrival: the (arrive, seq)
-// minimum over the source-queue heads.
-func (n *Network) pendMin() *pendingArrival {
-	var best *pendingArrival
-	for _, nc := range n.nics {
-		if nc.pendHead == len(nc.pend) {
-			continue
-		}
-		h := &nc.pend[nc.pendHead]
-		if best == nil || h.arrive < best.arrive ||
-			(h.arrive == best.arrive && h.seq < best.seq) {
-			best = h
-		}
-	}
-	return best
-}
-
-// drainFire runs at the earliest pending arrival instant T and processes
-// every queued arrival in [T, T+lookahead) in (arrive, transmit) order —
-// the same total order the per-message path's scheduler events would have
-// used — by K-way merging the source-queue heads. The window is closed:
-// any transmit issued at or after T (including later in this same instant)
-// arrives at T+lookahead or beyond, so nothing can be missed or reordered
-// by draining it in one dispatch. Arrivals beyond the window re-arm the
-// timer for their own instant.
-func (n *Network) drainFire() {
-	n.drainArmed = false
-	limit := n.drainAt.Add(n.lookahead)
-	for {
-		best := n.pendMin()
-		if best == nil || best.arrive >= limit {
-			break
-		}
-		n.processArrival(best)
-		src := n.nics[best.m.From]
-		src.pend[src.pendHead] = pendingArrival{}
-		src.pendHead++
-		if src.pendHead == len(src.pend) {
-			src.pend = src.pend[:0]
-			src.pendHead = 0
-		}
-		n.pendCount--
-	}
-	if n.pendCount > 0 {
-		n.drainArmed = true
-		n.drainAt = n.pendMin().arrive
-		n.drain = n.Sim.AfterTimer(n.drainAt.Sub(n.Sim.Now()), n.drainFire)
-	}
-}
-
-// flushPending converts every batch-queued arrival into a per-message
-// scheduler event at its exact arrival instant, in global (arrive, seq)
-// order. SetTracer and Faults call it before changing mode, so batched and
-// per-message processing never interleave: each flushed arrival fires at
-// its own instant with the event seq order the per-message path would have
-// produced for messages already on the wire.
-func (n *Network) flushPending() {
-	if !n.drainArmed {
-		return
-	}
-	n.drain.Stop()
-	n.drainArmed = false
-	for n.pendCount > 0 {
-		pa := *n.pendMin()
-		src := n.nics[pa.m.From]
-		src.pend[src.pendHead] = pendingArrival{}
-		src.pendHead++
-		if src.pendHead == len(src.pend) {
-			src.pend = src.pend[:0]
-			src.pendHead = 0
-		}
-		n.pendCount--
-		n.Sim.At(pa.arrive, func() { n.processArrival(&pa) })
-	}
-}
-
-// processArrival is the arrival-side computation for one fast-path message:
-// the lossless, fault-free, untraced specialization of the per-message
-// arrival closure in Transmit, evaluated at pa.arrive regardless of the
-// clock's current instant (the two coincide except while draining a batch
-// window). It must mirror that closure's arithmetic exactly — the S6 table
-// regeneration test holds the two paths to byte-identical results.
-func (n *Network) processArrival(pa *pendingArrival) {
-	prof := &n.Prof
-	m := pa.m
-	dst := n.nics[m.To]
-	rnow := pa.arrive
-	bw := prof.LinkBandwidth
-	rxOcc := n.touch(dst, m.ToQP) + Serialize(pa.wire, bw)
+	rxOcc := n.touch(dst, m.ToQP) + Serialize(f.wire, f.bw)
 	if q := dst.rxBusy.Sub(rnow); q > dst.stats.RxBacklogPeak {
 		dst.stats.RxBacklogPeak = q
 	}
 	var rxDone sim.Time
-	if pa.control {
-		rxDone = rnow.Add(Serialize(prof.MTU, bw) + rxOcc)
+	if f.control {
+		// Same packet-granularity arbitration on the switch egress port.
+		rxDone = rnow.Add(Serialize(prof.MTU, f.bw) + rxOcc)
 		dst.rxBusy = dst.rxBusy.Add(rxOcc)
 		if dst.rxBusy < rnow {
 			dst.rxBusy = rnow
@@ -802,24 +570,39 @@ func (n *Network) processArrival(pa *pendingArrival) {
 		rxDone = rstart.Add(rxOcc)
 		dst.rxBusy = rxDone
 	}
+	if f.corrupted {
+		// One packet failed its CRC: the receiver NAKs, the sender
+		// re-serializes that packet after a round trip.
+		pkt := f.wire
+		if lim := prof.MTU + prof.HeaderRC; pkt > lim {
+			pkt = lim
+		}
+		rxDone = rxDone.Add(Serialize(pkt, f.bw) + 2*prof.PropagationDelay + prof.SwitchDelay)
+		dst.stats.RCRetransmits++
+	}
 	if m.Service == RC {
 		rxDone = orderFloor(dst.rxOrder, m.ToQP, rxDone)
 	}
 	dst.stats.RxMessages++
 	dst.stats.RxBytes += int64(m.Payload)
-	if pa.control {
-		dst.stats.RxControlBytes += int64(pa.wire)
+	if f.control {
+		dst.stats.RxControlBytes += int64(f.wire)
 	} else {
-		dst.stats.RxDataBytes += int64(pa.wire)
+		dst.stats.RxDataBytes += int64(f.wire)
 	}
-	n.Sim.At(rxDone.Add(pa.jitter), func() { m.Deliver(n.Sim.Now()) })
+	if marked && n.onECN != nil {
+		dsim.At(rxDone, func() { n.onECN(m.From, f.to, m.FromQP, m.ToQP) })
+	}
+	deliver := f.deliver
+	dsim.At(rxDone.Add(f.jitter), func() { deliver(dsim.Now()) })
 }
 
 // TransmitMulticast sends one datagram to every node in dests with a single
 // work request and a single uplink serialization: the switch replicates the
 // packet to each member port, as InfiniBand hardware multicast does. Each
-// member's downlink still serializes its own copy. deliver runs once per
-// reached member; per-member loss and jitter apply independently.
+// member's downlink still serializes its own copy, on the data lane, through
+// the same receive side as a unicast message. deliver runs once per reached
+// member; per-member loss and jitter apply independently.
 func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest int, at sim.Time)) {
 	prof := &n.Prof
 	if m.Service != UD {
@@ -862,6 +645,7 @@ func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest i
 	// switch: no member — not even the sender's own switch-loopback copy —
 	// sees it.
 	senderDown := !n.faults.Empty() && n.faults.down(m.From, now)
+	arrive := txDone.Add(prof.SwitchDelay + prof.PropagationDelay)
 	for _, d := range dests {
 		d := d
 		if d == m.From {
@@ -882,55 +666,9 @@ func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest i
 		if prof.UDReorderProb > 0 && n.rngAt(m.From).Float64() < prof.UDReorderProb {
 			jitter = sim.Duration(n.rngAt(m.From).Int63n(int64(prof.UDReorderJitter) + 1))
 		}
-		dst := n.nics[d]
-		arrive := txDone.Add(prof.SwitchDelay + prof.PropagationDelay)
-		n.Route(m.From, d, arrive, func() {
-			dsim, dtr := n.SimAt(d), n.TracerAt(d)
-			if !lost && !n.faults.Empty() &&
-				(n.faults.down(d, dsim.Now()) || n.faults.cut(m.From, d, dsim.Now())) {
-				lost = true // dark member port or severed trunk: the copy vanishes
-			}
-			if lost {
-				dst.stats.UDDropped++
-				dtr.Instant(dsim.Now(), telemetry.EvDrop, int32(d), m.ToQP, int64(m.Payload), 0)
-				if m.Dropped != nil {
-					m.Dropped()
-				}
-				return
-			}
-			rnow := dsim.Now()
-			marked := false
-			if prof.Lossy {
-				var tailDropped bool
-				tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, wire,
-					prof.LinkBandwidth, true, rnow)
-				if tailDropped {
-					dst.stats.UDDropped++
-					dtr.Instant(rnow, telemetry.EvTailDrop, int32(d), m.ToQP, int64(m.Payload), 1)
-					if m.Dropped != nil {
-						m.Dropped()
-					}
-					return
-				}
-			}
-			rxOcc := n.touch(dst, m.ToQP) + Serialize(wire, prof.LinkBandwidth)
-			rstart := rnow
-			if q := dst.rxBusy.Sub(rstart); q > dst.stats.RxBacklogPeak {
-				dst.stats.RxBacklogPeak = q
-			}
-			if dst.rxBusy > rstart {
-				rstart = dst.rxBusy
-			}
-			rxDone := rstart.Add(rxOcc)
-			dst.rxBusy = rxDone
-			dst.stats.RxMessages++
-			dst.stats.RxBytes += int64(m.Payload)
-			dst.stats.RxDataBytes += int64(wire)
-			if marked && n.onECN != nil {
-				dsim.At(rxDone, func() { n.onECN(m.From, d, m.FromQP, m.ToQP) })
-			}
-			dsim.At(rxDone.Add(jitter), func() { deliver(d, dsim.Now()) })
-		})
+		f := flight{m: m, to: d, wire: wire, bw: prof.LinkBandwidth, lost: lost,
+			sentAt: now, jitter: jitter, deliver: func(at sim.Time) { deliver(d, at) }}
+		n.Route(m.From, d, arrive, func() { n.arrive(f) })
 	}
 }
 

@@ -106,6 +106,49 @@ func TestFaultCrashMulticast(t *testing.T) {
 	}
 }
 
+// TestFaultPauseMulticastMember checks that a paused member NIC holds back
+// its multicast copy exactly as it holds back a unicast message: no copy
+// starts serializing on a paused downlink until the pause window closes,
+// while an unpaused member receives its copy at once.
+func TestFaultPauseMulticastMember(t *testing.T) {
+	end := sim.Time(50 * time.Microsecond)
+	paused := func() (*sim.Simulation, *Network) {
+		s := sim.New(1)
+		n := New(s, quietProfile(), 3)
+		n.Faults().Add(FaultRule{Class: FaultPause, To: 2, End: end})
+		return s, n
+	}
+
+	s, n := paused()
+	var unicast sim.Time
+	n.Transmit(&Message{From: 0, To: 2, FromQP: 1, ToQP: 2, Payload: 2048, Service: UD,
+		Deliver: func(at sim.Time) { unicast = at }})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if unicast < end {
+		t.Fatalf("unicast to the paused node landed at %v, before the pause ends at %v", unicast, end)
+	}
+
+	s, n = paused()
+	reached := map[int]sim.Time{}
+	n.TransmitMulticast(&Message{From: 0, FromQP: 1, ToQP: 2, Payload: 2048, Service: UD},
+		[]int{1, 2}, func(dest int, at sim.Time) { reached[dest] = at })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(reached) != 2 {
+		t.Fatalf("multicast reached %v, want members 1 and 2", reached)
+	}
+	if reached[1] >= end {
+		t.Fatalf("unpaused member 1 received its copy at %v, held back by node 2's pause", reached[1])
+	}
+	if reached[2] != unicast {
+		t.Fatalf("paused member 2 received its multicast copy at %v, a unicast of the same size at %v",
+			reached[2], unicast)
+	}
+}
+
 // TestCrashedAndCrashTime covers the introspection the failure detector
 // relies on.
 func TestCrashedAndCrashTime(t *testing.T) {

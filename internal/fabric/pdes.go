@@ -51,10 +51,6 @@ func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
 	}
 	net.part = p
 	net.faults.rng = net.Sim.Rand()
-	net.lookahead = prof.Lookahead()
-	// The batched-arrival fast path assumes one clock; partitioned runs
-	// always take the exact per-message path.
-	net.batchOff = true
 	for i := range net.nics {
 		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, p.rngs[i]),
 			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}
@@ -140,8 +136,8 @@ func (n *Network) Route(src, dst int, at sim.Time, fn func()) {
 // RouteLatency is the minimum latency of any routed cross-node interaction
 // — switch traversal plus propagation, with no serialization component —
 // and therefore the widest safe PDES window lookahead. Data messages add
-// WQE processing and serialization on top (Profile.Lookahead); control
-// completions (ACKs, fence NAKs, membership verdicts) pay exactly this.
+// WQE processing and serialization on top; control completions (ACKs,
+// fence NAKs, membership verdicts) pay exactly this.
 func (p *Profile) RouteLatency() sim.Duration {
 	return p.SwitchDelay + p.PropagationDelay
 }

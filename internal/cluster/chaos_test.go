@@ -23,15 +23,16 @@ func chaosOpts() ChaosOpts {
 	}
 }
 
-// TestChaosMatrix runs every algorithm of Table 1 under every fault class
-// twice with the same seed, asserting (a) no simulation failure, (b) the
-// recovery policy ends in success with every row delivered, (c) bitwise
-// identical outcomes — the schedule is deterministic — and (d) the faults
-// that must force a query restart actually do.
+// TestChaosMatrix runs every design (Table 1 plus the RDMA Write designs)
+// under every fault class twice with the same seed, asserting (a) no
+// simulation failure, (b) the recovery policy ends in success with every
+// row delivered, (c) bitwise identical outcomes — the schedule is
+// deterministic — and (d) the faults that must force a query restart
+// actually do.
 func TestChaosMatrix(t *testing.T) {
 	opts := chaosOpts()
 	want := int64(opts.Nodes) * int64(opts.RowsPerNode)
-	for _, alg := range shuffle.Algorithms {
+	for _, alg := range shuffle.ExtendedAlgorithms {
 		for _, f := range ChaosFaults() {
 			alg, f := alg, f
 			t.Run(alg.Name+"/"+f.Name, func(t *testing.T) {
@@ -68,7 +69,7 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosCrashMatrix runs every Table 1 algorithm under every crash-stop
+// TestChaosCrashMatrix runs every design under every crash-stop
 // scenario twice with the same seed. A crash must (a) never panic or
 // deadlock the simulation, (b) be detected by the heartbeat detector within
 // the documented (Suspect+2)*Period bound — not by waiting out an endpoint
@@ -79,7 +80,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 	opts := chaosOpts()
 	period := 500 * time.Microsecond
 	opts.Detector = DetectorConfig{Period: period, Suspect: 3}
-	for _, alg := range shuffle.Algorithms {
+	for _, alg := range shuffle.ExtendedAlgorithms {
 		for _, f := range ChaosCrashFaults() {
 			alg, f := alg, f
 			t.Run(alg.Name+"/"+f.Name, func(t *testing.T) {
@@ -123,7 +124,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosTransientMatrix runs every Table 1 algorithm under every
+// TestChaosTransientMatrix runs every design under every
 // transient-fault scenario (bounded reboots, healing partitions) twice with
 // the same seed. Every cell must (a) never fail the simulation, (b) end in
 // success within the restart budget with exact cluster-wide row totals —
@@ -136,7 +137,7 @@ func TestChaosTransientMatrix(t *testing.T) {
 	opts := chaosOpts()
 	opts.Detector = DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3}
 	fullRows := int64(opts.Nodes) * int64(opts.RowsPerNode)
-	for _, alg := range shuffle.Algorithms {
+	for _, alg := range shuffle.ExtendedAlgorithms {
 		for _, f := range ChaosTransientFaults() {
 			alg, f := alg, f
 			t.Run(alg.Name+"/"+f.Name, func(t *testing.T) {

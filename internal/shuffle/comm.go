@@ -17,6 +17,10 @@ type NodeComm struct {
 	Dev  *verbs.Device
 	Send []SendEndpoint
 	Recv []RecvEndpoint
+
+	// eps holds the cores of Send then Recv, which the connection manager's
+	// hooks drive.
+	eps []*endpoint
 }
 
 // Comm is a fully wired cluster-wide communication layer for one shuffle
@@ -38,6 +42,18 @@ type Comm struct {
 	// SendMemoryPerNode is the RDMA-registered memory of one node's send
 	// operator in bytes (Fig. 9b).
 	SendMemoryPerNode int64
+}
+
+// coreSend and coreRecv are the RDMA endpoints Build wires: an endpoint
+// half together with the core the connection manager drives.
+type coreSend interface {
+	SendEndpoint
+	core() *endpoint
+}
+
+type coreRecv interface {
+	RecvEndpoint
+	core() *endpoint
 }
 
 // threadsPerEndpoint returns how many worker threads share each endpoint.
@@ -66,11 +82,19 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 	regBefore := make([]int64, n)
 	for a, d := range devs {
 		regBefore[a] = d.RegisteredBytes()
-		c.Nodes[a] = &NodeComm{Dev: d, Send: make([]SendEndpoint, e), Recv: make([]RecvEndpoint, e)}
+		c.Nodes[a] = &NodeComm{
+			Dev: d, Send: make([]SendEndpoint, e), Recv: make([]RecvEndpoint, e),
+			eps: make([]*endpoint, 2*e),
+		}
 	}
 	prof := &devs[0].Network().Prof
 
 	for k := 0; k < e; k++ {
+		attach := func(a int, s coreSend, r coreRecv) {
+			nc := c.Nodes[a]
+			nc.Send[k], nc.Recv[k] = s, r
+			nc.eps[k], nc.eps[e+k] = s.core(), r.core()
+		}
 		switch cfg.Impl {
 		case MQSR:
 			ss := make([]*srRCSend, n)
@@ -81,8 +105,7 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 			}
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
-					must(ss[a].qps[b].Connect(b, rr[b].qps[a].QPN()))
-					must(rr[b].qps[a].Connect(a, ss[a].qps[b].QPN()))
+					connectRC(&ss[a].endpoint, &rr[b].endpoint, a, b)
 					rr[b].creditWin[a] = remoteWin{rkey: ss[a].creditMR.RKey, base: 8 * b}
 				}
 			}
@@ -91,10 +114,9 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				// The initial grant travels with the out-of-band connection
 				// exchange: preset each sender's credit words.
 				for b := 0; b < n; b++ {
-					verbs.PutUint64(ss[b].creditMR.Buf[8*a:], rr[a].creditIssued[b])
+					verbs.PutUint64(ss[b].creditMR.Buf[8*a:], rr[a].issued[b])
 				}
-				c.Nodes[a].Send[k] = ss[a]
-				c.Nodes[a].Recv[k] = rr[a]
+				attach(a, ss[a], rr[a])
 			}
 		case SQSR:
 			ss := make([]*srUDSend, n)
@@ -121,10 +143,9 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				must(ss[a].primeSend(p))
 				must(rr[a].prime(p))
 				for b := 0; b < n; b++ {
-					ss[b].credit[a] = rr[a].creditIssued[b]
+					ss[b].credit[a] = rr[a].issued[b]
 				}
-				c.Nodes[a].Send[k] = ss[a]
-				c.Nodes[a].Recv[k] = rr[a]
+				attach(a, ss[a], rr[a])
 			}
 		case MQWR:
 			ss := make([]*wrRCSend, n)
@@ -133,15 +154,14 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				rr[a] = newWRRCRecv(devs[a], cfg, n, tpe)
 			}
 			for a := 0; a < n; a++ {
-				ss[a] = newWRRCSend(devs[a], cfg, n, tpe, rr[0].queueCap)
+				ss[a] = newWRRCSend(devs[a], cfg, n, tpe, rr[0].validArr.cap)
 			}
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
-					must(ss[a].qps[b].Connect(b, rr[b].qps[a].QPN()))
-					must(rr[b].qps[a].Connect(a, ss[a].qps[b].QPN()))
+					connectRC(&ss[a].endpoint, &rr[b].endpoint, a, b)
 					ss[a].slotWin[b] = remoteWin{rkey: rr[b].slotMR.RKey}
-					ss[a].validWin[b] = remoteWin{rkey: rr[b].validArrMR.RKey, base: 8 * a * rr[b].queueCap}
-					rr[b].grantWin[a] = remoteWin{rkey: ss[a].slotArrMR.RKey, base: 8 * b * ss[a].queueCap}
+					ss[a].validArr.win[b] = rr[b].validArr.remote(a)
+					rr[b].slotArr.win[a] = ss[a].slotArr.remote(b)
 				}
 			}
 			// Initial grants travel with the out-of-band setup: receiver b
@@ -151,15 +171,14 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				for a := 0; a < n; a++ {
 					for i := 0; i < perSrc; i++ {
 						slot := (a*perSrc + i) * cfg.BufSize
-						idx := b*ss[a].queueCap + i
-						verbs.PutUint64(ss[a].slotArrMR.Buf[8*idx:], packSlot(slot, 0, false))
+						idx := b*ss[a].slotArr.cap + i
+						verbs.PutUint64(ss[a].slotArr.mr.Buf[8*idx:], packSlot(slot, 0, false))
 					}
-					rr[b].prod[a] = perSrc
+					rr[b].slotArr.prod[a] = perSrc
 				}
 			}
 			for a := 0; a < n; a++ {
-				c.Nodes[a].Send[k] = ss[a]
-				c.Nodes[a].Recv[k] = rr[a]
+				attach(a, ss[a], rr[a])
 			}
 		case MQRD:
 			ss := make([]*rdRCSend, n)
@@ -172,16 +191,14 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 			}
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
-					must(ss[a].qps[b].Connect(b, rr[b].qps[a].QPN()))
-					must(rr[b].qps[a].Connect(a, ss[a].qps[b].QPN()))
-					ss[a].validWin[b] = remoteWin{rkey: rr[b].validArrMR.RKey, base: 8 * a * rr[b].queueCap}
-					rr[b].freeWin[a] = remoteWin{rkey: ss[a].freeArrMR.RKey, base: 8 * b * ss[a].queueCap}
+					connectRC(&ss[a].endpoint, &rr[b].endpoint, a, b)
+					ss[a].validArr.win[b] = rr[b].validArr.remote(a)
+					rr[b].freeArr.win[a] = ss[a].freeArr.remote(b)
 					rr[b].dataWin[a] = remoteWin{rkey: ss[a].mr.RKey}
 				}
 			}
 			for a := 0; a < n; a++ {
-				c.Nodes[a].Send[k] = ss[a]
-				c.Nodes[a].Recv[k] = rr[a]
+				attach(a, ss[a], rr[a])
 			}
 		}
 	}
@@ -193,6 +210,7 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 	for a := 0; a < n; a++ {
 		node := c.Nodes[a]
 		self := a
+		eps := node.eps
 		node.Dev.OnPeerDown(func(peer int) {
 			// Runs on the device's own partition (the connection manager
 			// routes the peer-down verdict there), so the node's trace shard
@@ -200,41 +218,20 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 			tr := node.Dev.Network().TracerAt(self)
 			now := node.Dev.Sim().Now()
 			tr.Instant(now, telemetry.EvDrainPeer, int32(self), 0, int64(peer), 0)
-			for _, s := range node.Send {
-				if pd, ok := s.(PeerDrainer); ok {
-					pd.DrainPeer(peer)
-				}
-			}
-			for _, r := range node.Recv {
-				if pd, ok := r.(PeerDrainer); ok {
-					pd.DrainPeer(peer)
-				}
+			for _, ep := range eps {
+				ep.drainPeer(peer)
 			}
 			tr.Instant(now, telemetry.EvClosePeer, int32(self), 0, int64(peer), 0)
-			for _, s := range node.Send {
-				if pd, ok := s.(PeerDrainer); ok {
-					pd.ClosePeer(peer)
-				}
-			}
-			for _, r := range node.Recv {
-				if pd, ok := r.(PeerDrainer); ok {
-					pd.ClosePeer(peer)
-				}
+			for _, ep := range eps {
+				ep.closePeer()
 			}
 		})
 		// The reverse transition: a suspicion cleared by resumed heartbeats
 		// (partition heal, reboot) re-arms the drained endpoints so the peer
 		// can resume. The verbs device traces EvPeerUp.
 		node.Dev.OnPeerUp(func(peer int) {
-			for _, s := range node.Send {
-				if pr, ok := s.(PeerResumer); ok {
-					pr.ReopenPeer(peer)
-				}
-			}
-			for _, r := range node.Recv {
-				if pr, ok := r.(PeerResumer); ok {
-					pr.ReopenPeer(peer)
-				}
+			for _, ep := range eps {
+				ep.reopenPeer(peer)
 			}
 		})
 	}
@@ -259,17 +256,8 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 
 	// Send-operator registered memory (Fig. 9b): data buffers plus control
 	// structures of the send endpoints of one node.
-	for k := 0; k < e; k++ {
-		switch s := c.Nodes[0].Send[k].(type) {
-		case *srRCSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.creditMR.Buf))
-		case *srUDSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.creditMR.Buf))
-		case *rdRCSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.freeArrMR.Buf) + len(s.stageMR.Buf))
-		case *wrRCSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.slotArrMR.Buf) + len(s.stageMR.Buf))
-		}
+	for _, ep := range c.Nodes[0].eps[:e] {
+		c.SendMemoryPerNode += ep.regBytes
 	}
 	return c
 }

@@ -11,42 +11,48 @@ import (
 	"rshuffle/internal/verbs"
 )
 
-// drainReopenCycle exercises the PeerDrainer/PeerResumer contract on every
-// endpoint of node 0: drain peer 1 twice (idempotent), then reopen twice
-// (also idempotent). It runs from a scheduler callback mid-stream, so the
-// query that follows proves the cycle left the flow-control accounting
-// intact — any leaked credit or stuck buffer would deadlock or fail the
-// run.
+// drainReopenCycle exercises the connection manager's drain/reopen hooks
+// on every endpoint core of node 0: drain peer 1 twice (idempotent), then
+// reopen twice (also idempotent). It runs from a scheduler callback
+// mid-stream, so the query that follows proves the cycle left the
+// flow-control accounting intact — any leaked credit or stuck buffer would
+// deadlock or fail the run.
 func drainReopenCycle(t *testing.T, r *shuffleRun) {
 	t.Helper()
 	node := r.comm.Nodes[0]
-	eps := make([]interface{}, 0, len(node.Send)+len(node.Recv))
-	for _, s := range node.Send {
-		eps = append(eps, s)
+	// The hooks must reach every endpoint of the node.
+	if want := len(node.Send) + len(node.Recv); len(node.eps) != want {
+		t.Fatalf("node has %d endpoint cores, want %d", len(node.eps), want)
 	}
-	for _, rc := range node.Recv {
-		eps = append(eps, rc)
+	for k, s := range node.Send {
+		if cs, ok := s.(coreSend); !ok || cs.core() != node.eps[k] {
+			t.Errorf("send endpoint %d (%T) is not driven by the connection manager", k, s)
+		}
 	}
-	for _, ep := range eps {
-		pd, ok := ep.(PeerDrainer)
-		if !ok {
-			t.Errorf("%T does not implement PeerDrainer", ep)
-			continue
+	for k, rc := range node.Recv {
+		if cr, ok := rc.(coreRecv); !ok || cr.core() != node.eps[len(node.Send)+k] {
+			t.Errorf("receive endpoint %d (%T) is not driven by the connection manager", k, rc)
 		}
-		pr, ok := ep.(PeerResumer)
-		if !ok {
-			t.Errorf("%T does not implement PeerResumer", ep)
-			continue
+	}
+	for _, ep := range node.eps {
+		ep.drainPeer(1)
+		ep.drainPeer(1) // idempotent
+		if !ep.failed[1] {
+			t.Errorf("%s: drained peer not marked failed", ep.tag)
 		}
-		pd.DrainPeer(1)
-		pd.DrainPeer(1) // idempotent
-		pr.ReopenPeer(1)
-		pr.ReopenPeer(1) // idempotent
+		ep.reopenPeer(1)
+		ep.reopenPeer(1) // idempotent
+		if ep.failed[1] {
+			t.Errorf("%s: reopened peer still marked failed", ep.tag)
+		}
 		// Out-of-range peers must be ignored, not panic or corrupt state.
-		pd.DrainPeer(-1)
-		pd.DrainPeer(99)
-		pr.ReopenPeer(-1)
-		pr.ReopenPeer(99)
+		ep.drainPeer(-1)
+		ep.drainPeer(99)
+		ep.reopenPeer(-1)
+		ep.reopenPeer(99)
+		if _, ok := ep.anyFailed(); ok {
+			t.Errorf("%s: out-of-range drain marked a peer failed", ep.tag)
+		}
 	}
 }
 

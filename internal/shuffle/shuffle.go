@@ -211,30 +211,6 @@ func peerFailedErr(peer int) error {
 	return fmt.Errorf("%w: node %d", ErrPeerFailed, peer)
 }
 
-// PeerDrainer is implemented by endpoints that support membership-aware
-// teardown. When the failure detector suspects a peer, the connection
-// manager calls DrainPeer then ClosePeer on every endpoint of each surviving
-// node (from scheduler context — neither may block): the endpoint marks the
-// peer failed and wakes every blocked caller, so SHUFFLE/RECEIVE terminate
-// with ErrPeerFailed instead of waiting forever on credits, ValidArr slots,
-// or UD message counts the dead node will never produce.
-type PeerDrainer interface {
-	DrainPeer(peer int)
-	ClosePeer(peer int)
-}
-
-// PeerResumer is the re-arm half of PeerDrainer: draining a peer is not
-// terminal. When a suspicion turns out to be transient — the partition
-// healed or the node rebooted and the connection manager re-established the
-// link — ReopenPeer clears the failed mark so the endpoint works with the
-// peer again. Both drain and reopen are idempotent, and a drain/reopen
-// cycle leaves the per-peer flow-control accounting untouched, so repeated
-// false suspicions leak no credits. Like the drainer methods it runs from
-// scheduler context and must not block.
-type PeerResumer interface {
-	ReopenPeer(peer int)
-}
-
 // ProgressReporter is implemented by receive endpoints that track
 // per-source stream completion. Depleted reports whether the stream from
 // src finished cleanly: its end-of-stream marker arrived and — for

@@ -14,23 +14,14 @@ import (
 // credit protocol as RC is used, but credit arrives as small UD datagrams
 // on this endpoint's own QP (UD supports no RDMA Write). The sender counts
 // every data message per destination and transmits the totals at the end so
-// the receiver can detect missing or in-flight packets.
+// the receiver can detect missing or in-flight packets. Sends to a dead
+// peer still complete locally (the datagram vanishes on the wire), so
+// buffers keep cycling; only the credit wait must not block on it.
 type srUDSend struct {
-	dev *verbs.Device
-	cfg Config
-	n   int
-	mtu int
+	sender
 
 	qp  *verbs.QP
-	scq *verbs.CQ // send completions (fire at wire time)
 	ccq *verbs.CQ // credit datagram arrivals
-
-	gate epGate
-
-	mr       *verbs.MR
-	poolBufs int
-	free     *sim.Queue[int]
-	pending  map[int]int
 
 	creditMR   *verbs.MR // receive slots for credit datagrams
 	creditSlot int       // slot size: GRH + HeaderSize
@@ -43,36 +34,6 @@ type srUDSend struct {
 	// hwmc enables one-WQE broadcast through the multicast group mgid.
 	hwmc bool
 	mgid uint32
-
-	// failed marks destinations declared dead by the connection manager.
-	// UD sends to them still complete locally (the datagram vanishes on the
-	// wire), so buffers keep cycling; only the credit wait must not block.
-	failed []bool
-}
-
-// DrainPeer and ClosePeer implement PeerDrainer.
-func (e *srUDSend) DrainPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = true
-	}
-}
-
-func (e *srUDSend) ClosePeer(peer int) {
-	e.ccq.Kick()
-	e.scq.Kick()
-}
-
-// ReopenPeer implements PeerResumer. UD connections hold no per-peer QP
-// state, so clearing the failed mark fully resumes the destination: the
-// absolute credit and totals counters were never disturbed by the drain.
-func (e *srUDSend) ReopenPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = false
-	}
-}
-
-func (e *srUDSend) buf(off int) *Buf {
-	return &Buf{Data: e.mr.Buf[off+HeaderSize : off+e.mtu], off: off}
 }
 
 // drainCredit consumes pending credit datagrams; absolute credit makes the
@@ -111,47 +72,6 @@ func (e *srUDSend) postCreditRecv(p *sim.Proc, slot int) error {
 	return nil
 }
 
-func (e *srUDSend) reap(es []verbs.CQE) error {
-	var err error
-	for _, c := range es {
-		if c.Status != verbs.WCSuccess {
-			if err == nil {
-				err = wcErr(c)
-			}
-			continue
-		}
-		off := int(c.WRID)
-		e.pending[off]--
-		if e.pending[off] == 0 {
-			delete(e.pending, off)
-			e.free.Put(off)
-		}
-	}
-	return err
-}
-
-// GetFree implements SendEndpoint.
-func (e *srUDSend) GetFree(p *sim.Proc) (*Buf, error) {
-	w := newWaiter(e.cfg.StallTimeout)
-	for {
-		if off, ok := e.free.TryGet(); ok {
-			return e.buf(off), nil
-		}
-		var es [16]verbs.CQE
-		if !e.scq.WaitNonEmpty(p, w.step()) {
-			if !w.idle() {
-				return nil, fmt.Errorf("%w: UD GetFree on node %d", ErrStalled, e.dev.Node())
-			}
-			continue
-		}
-		w.progress()
-		n := e.gate.poll(p, e.scq, es[:])
-		if err := e.reap(es[:n]); err != nil {
-			return nil, err
-		}
-	}
-}
-
 func (e *srUDSend) waitCredit(p *sim.Proc, dest int) error {
 	w := newWaiter(e.cfg.StallTimeout)
 	for {
@@ -165,78 +85,34 @@ func (e *srUDSend) waitCredit(p *sim.Proc, dest int) error {
 			e.sent[dest]++
 			return nil
 		}
-		if !e.ccq.WaitNonEmpty(p, w.step()) {
-			if !w.idle() {
-				return fmt.Errorf("%w: waiting for UD credit from node %d", ErrStalled, dest)
-			}
-			continue
-		}
-		w.progress()
-	}
-}
-
-func (e *srUDSend) post(p *sim.Proc, dest, off, length int) error {
-	for {
-		err := e.gate.post(p, e.qp, verbs.SendWR{
-			ID: uint64(off), Op: verbs.OpSend,
-			MR: e.mr, Offset: off, Len: length,
-			Dest: e.ahs[dest],
-		})
-		if err == nil {
-			return nil
-		}
-		if err != verbs.ErrSQFull {
-			return err
-		}
-		var es [16]verbs.CQE
-		e.scq.WaitNonEmpty(p, 0)
-		n := e.gate.poll(p, e.scq, es[:])
-		if err := e.reap(es[:n]); err != nil {
-			return err
+		if w.stalled(e.ccq.WaitNonEmpty(p, w.step())) {
+			return fmt.Errorf("%w: waiting for UD credit from node %d", ErrStalled, dest)
 		}
 	}
 }
 
 func (e *srUDSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16, value uint64) error {
-	putHeader(e.mr.Buf[b.off:], header{
-		payload: b.Len, flags: flags, src: uint16(e.dev.Node()), value: value,
-	})
+	wr := e.dataWR(b, verbs.OpSend)
 	if e.hwmc && flags == 0 && len(dest) == e.n {
 		// Native multicast broadcast: one credit unit per member, a single
 		// work request, a single uplink serialization.
+		e.lease(b, 1, 0, 0) // one WQE, one completion
 		for _, d := range dest {
 			if err := e.waitCredit(p, d); err != nil {
 				return err
 			}
 			e.totals[d]++
 		}
-		e.pending[b.off] = 1 // one WQE, one completion
-		for {
-			err := e.gate.post(p, e.qp, verbs.SendWR{
-				ID: uint64(b.off), Op: verbs.OpSend,
-				MR: e.mr, Offset: b.off, Len: HeaderSize + b.Len,
-				Dest: verbs.AH{Multicast: true, MGID: e.mgid},
-			})
-			if err == nil {
-				return nil
-			}
-			if err != verbs.ErrSQFull {
-				return err
-			}
-			var es [16]verbs.CQE
-			e.scq.WaitNonEmpty(p, 0)
-			n := e.gate.poll(p, e.scq, es[:])
-			if err := e.reap(es[:n]); err != nil {
-				return err
-			}
-		}
+		wr.Dest = verbs.AH{Multicast: true, MGID: e.mgid}
+		return e.post(p, e.qp, wr)
 	}
-	e.pending[b.off] = len(dest)
+	e.lease(b, len(dest), flags, value)
 	for _, d := range dest {
 		if err := e.waitCredit(p, d); err != nil {
 			return err
 		}
-		if err := e.post(p, d, b.off, HeaderSize+b.Len); err != nil {
+		wr.Dest = e.ahs[d]
+		if err := e.post(p, e.qp, wr); err != nil {
 			return err
 		}
 		if flags&flagTotal == 0 {
@@ -265,109 +141,40 @@ func (e *srUDSend) Finish(p *sim.Proc) error {
 			return err
 		}
 	}
-	w := newWaiter(e.cfg.StallTimeout)
-	for len(e.pending) > 0 {
-		var es [16]verbs.CQE
-		if !e.scq.WaitNonEmpty(p, w.step()) {
-			if !w.idle() {
-				return fmt.Errorf("%w: UD Finish flush", ErrStalled)
-			}
-			continue
-		}
-		w.progress()
-		n := e.gate.poll(p, e.scq, es[:])
-		if err := e.reap(es[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.flush(p)
 }
 
 // srUDRecv implements the RECEIVE endpoint over UD Send/Receive (Fig. 6b).
 // One QP receives from every source; posted receive slots are shared.
 // Per-source counters implement the paper's out-of-order Depleted handling:
-// the state only transitions once received[src] matches the sender's total,
+// a stream only completes once received[src] matches the sender's total,
 // and a timeout after the totals are known is treated as packet loss.
 type srUDRecv struct {
-	dev *verbs.Device
-	cfg Config
-	n   int
-	mtu int
+	receiver
+	credits
 
 	qp  *verbs.QP
 	rcq *verbs.CQ // data arrivals
-	scq *verbs.CQ // completions of outgoing credit datagrams
-
-	gate epGate
 
 	bufMR    *verbs.MR
 	slots    int
 	slotSize int
-	perSrc   int
 
 	stageMR *verbs.MR  // per source HeaderSize staging for credit datagrams
 	ahs     []verbs.AH // per source: the paired send endpoint's QP
 
-	creditIssued []uint64
-	lastWritten  []uint64
-	received     []uint64
-	expected     []uint64
-	totalKnown   []bool
-	knownCount   int
+	received   []uint64
+	expected   []uint64
+	totalKnown []bool
+	knownCount int
 
 	lossWait sim.Duration // accumulated wait after all totals are known
-
-	// failed marks sources declared dead by the connection manager.
-	failed []bool
 }
 
-// DrainPeer and ClosePeer implement PeerDrainer. A failed source whose
-// total is known and matched owes nothing more; otherwise GetData reports
-// ErrPeerFailed instead of running down the DepletedTimeout.
-func (e *srUDRecv) DrainPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = true
-	}
-}
-
-func (e *srUDRecv) ClosePeer(peer int) {
-	e.rcq.Kick()
-	e.scq.Kick()
-}
-
-// ReopenPeer implements PeerResumer.
-func (e *srUDRecv) ReopenPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = false
-	}
-}
-
-// Depleted implements ProgressReporter: a UD stream is complete only when
-// the sender's total is known and every counted message arrived.
-func (e *srUDRecv) Depleted(src int) bool {
-	return src >= 0 && src < e.n && e.totalKnown[src] && e.received[src] == e.expected[src]
-}
-
-// missingFailed returns a failed source whose stream is still incomplete.
-func (e *srUDRecv) missingFailed() (int, bool) {
-	for s, f := range e.failed {
-		if f && (!e.totalKnown[s] || e.received[s] != e.expected[s]) {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-func (e *srUDRecv) allDone() bool {
-	if e.knownCount < e.n {
-		return false
-	}
-	for s := 0; s < e.n; s++ {
-		if e.received[s] != e.expected[s] {
-			return false
-		}
-	}
-	return true
+// count records a change to src's counters: its stream is complete once
+// the total is known and every counted message arrived.
+func (e *srUDRecv) count(src int) {
+	e.setDone(src, e.totalKnown[src] && e.received[src] == e.expected[src])
 }
 
 func (e *srUDRecv) repost(p *sim.Proc, slot, src int) error {
@@ -377,27 +184,12 @@ func (e *srUDRecv) repost(p *sim.Proc, slot, src int) error {
 	if err != nil {
 		return fmt.Errorf("%w: UD repost: %v", ErrTransport, err)
 	}
-	e.creditIssued[src]++
-	if e.creditIssued[src]-e.lastWritten[src] >= uint64(e.cfg.CreditFrequency) {
+	if e.reposted(src, e.cfg.CreditFrequency) {
 		if err := e.sendCredit(p, src); err != nil {
 			return err
 		}
 	}
-	return e.drainSends(p)
-}
-
-// drainSends reaps completed credit-datagram sends, surfacing failures.
-func (e *srUDRecv) drainSends(p *sim.Proc) error {
-	var es [8]verbs.CQE
-	for e.scq.Len() > 0 {
-		n := e.gate.poll(p, e.scq, es[:])
-		for _, c := range es[:n] {
-			if c.Status != verbs.WCSuccess {
-				return wcErr(c)
-			}
-		}
-	}
-	return nil
+	return e.reapControl(p)
 }
 
 // sendCredit grants absolute credit to src with a small UD datagram.
@@ -405,26 +197,19 @@ func (e *srUDRecv) sendCredit(p *sim.Proc, src int) error {
 	if e.failed[src] {
 		return nil // the grant would vanish on the dead node's cut links
 	}
-	e.lastWritten[src] = e.creditIssued[src]
+	e.written[src] = e.issued[src]
 	off := src * HeaderSize
 	putHeader(e.stageMR.Buf[off:], header{
-		flags: flagCredit, src: uint16(e.dev.Node()), value: e.creditIssued[src],
+		flags: flagCredit, src: uint16(e.dev.Node()), value: e.issued[src],
 	})
-	err := e.gate.post(p, e.qp, verbs.SendWR{
+	err := e.post(p, e.qp, verbs.SendWR{
 		Op: verbs.OpSend, MR: e.stageMR, Offset: off, Len: HeaderSize,
 		Dest: e.ahs[src], Inline: true,
 	})
-	if err == verbs.ErrSQFull {
-		e.scq.WaitNonEmpty(p, 0)
-		if err := e.drainSends(p); err != nil {
-			return err
-		}
-		return e.sendCredit(p, src)
-	}
 	if err != nil {
 		return fmt.Errorf("%w: UD credit send: %v", ErrTransport, err)
 	}
-	traceCredit(e.dev, src, int64(e.creditIssued[src]))
+	traceCredit(e.dev, src, int64(e.issued[src]))
 	return nil
 }
 
@@ -448,16 +233,17 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 					e.knownCount++
 				}
 				e.expected[src] = h.value
+				e.count(src)
 				if err := e.repost(p, slot, src); err != nil {
 					return nil, err
 				}
-				if e.allDone() {
+				if e.finished() {
 					e.rcq.Kick()
 				}
 				continue
 			}
 			e.received[src]++
-			if e.allDone() {
+			if e.count(src); e.finished() {
 				e.rcq.Kick()
 			}
 			return &Data{
@@ -466,7 +252,7 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 				slot:    slot,
 			}, nil
 		}
-		if e.allDone() {
+		if e.finished() {
 			return nil, nil
 		}
 		if s, ok := e.missingFailed(); ok {
@@ -510,32 +296,28 @@ func newSRUDSend(dev *verbs.Device, cfg Config, n, tpe int) *srUDSend {
 	mtu := dev.Network().Prof.MTU
 	pool := tpe * n * cfg.BuffersPerPeer
 	e := &srUDSend{
-		dev: dev, cfg: cfg, n: n, mtu: mtu,
-		gate:       newEPGate(dev.Sim(), fmt.Sprintf("srud-send@%d", dev.Node())),
-		poolBufs:   pool,
-		free:       sim.NewQueue[int](dev.Sim(), fmt.Sprintf("srud-free@%d", dev.Node())),
-		pending:    make(map[int]int),
+		sender:     newSender(dev, cfg, n, "srud", mtu),
 		creditSlot: verbs.GRHSize + HeaderSize,
 		sent:       make([]uint64, n),
 		credit:     make([]uint64, n),
 		totals:     make([]uint64, n),
 		ahs:        make([]verbs.AH, n),
-		failed:     make([]bool, n),
 	}
+	e.local = true
 	// Broadcast posts one send per group member per buffer, and completions
 	// sit in the CQ until the application polls; size for the worst case.
+	// Send completions fire at wire time.
 	e.scq = dev.CreateCQ(pool*n + 64)
 	creditSlots := 4 * n
 	e.ccq = dev.CreateCQ(creditSlots + 16)
-	e.mr = dev.AllocMRNoCost(pool * mtu)
-	e.creditMR = dev.RegisterMRNoCost(make([]byte, creditSlots*e.creditSlot))
-	for i := 0; i < pool; i++ {
-		e.free.Put(i * mtu)
-	}
+	e.fillPool(pool)
+	e.creditMR = e.register(creditSlots * e.creditSlot)
 	e.qp = dev.CreateQP(verbs.QPConfig{
 		Type: fabric.UD, SendCQ: e.scq, RecvCQ: e.ccq,
 		MaxSend: pool*n + 16, MaxRecv: creditSlots + 4,
 	})
+	e.reap = e.pollOnce
+	e.wakeOnClose(false, e.ccq, e.scq)
 	return e
 }
 
@@ -554,31 +336,29 @@ func newSRUDRecv(dev *verbs.Device, cfg Config, n, tpe int) *srUDRecv {
 	perSrc := tpe * cfg.RecvBuffersPerPeer
 	slots := n * perSrc
 	e := &srUDRecv{
-		dev: dev, cfg: cfg, n: n, mtu: mtu,
-		gate:  newEPGate(dev.Sim(), fmt.Sprintf("srud-recv@%d", dev.Node())),
-		slots: slots, slotSize: verbs.GRHSize + mtu, perSrc: perSrc,
-		ahs:          make([]verbs.AH, n),
-		creditIssued: make([]uint64, n),
-		lastWritten:  make([]uint64, n),
-		received:     make([]uint64, n),
-		expected:     make([]uint64, n),
-		totalKnown:   make([]bool, n),
-		failed:       make([]bool, n),
+		receiver: newReceiver(dev, cfg, n, "srud"),
+		credits:  newCredits(n, perSrc),
+		slots:    slots, slotSize: verbs.GRHSize + mtu,
+		ahs:        make([]verbs.AH, n),
+		received:   make([]uint64, n),
+		expected:   make([]uint64, n),
+		totalKnown: make([]bool, n),
 	}
 	e.rcq = dev.CreateCQ(slots + 64)
 	// Credit-datagram completions queue behind bulk data on the wire.
 	e.scq = dev.CreateCQ(slots + 64)
-	e.bufMR = dev.AllocMRNoCost(slots * e.slotSize)
-	e.stageMR = dev.RegisterMRNoCost(make([]byte, n*HeaderSize))
+	e.bufMR = e.alloc(slots * e.slotSize)
+	e.stageMR = e.register(n * HeaderSize)
 	e.qp = dev.CreateQP(verbs.QPConfig{
 		Type: fabric.UD, SendCQ: e.scq, RecvCQ: e.rcq,
 		MaxSend: 4 * n, MaxRecv: slots + 4,
 	})
+	e.reap = e.reapControl
+	e.wakeOnClose(false, e.rcq, e.scq)
 	return e
 }
 
-// prime posts every data receive slot and records the initial per-source
-// credit grant, which wiring communicates to senders out of band.
+// prime posts every data receive slot (part of connection setup).
 func (e *srUDRecv) prime(p *sim.Proc) error {
 	for slot := 0; slot < e.slots; slot++ {
 		err := e.qp.PostRecv(p, verbs.RecvWR{
@@ -587,10 +367,6 @@ func (e *srUDRecv) prime(p *sim.Proc) error {
 		if err != nil {
 			return fmt.Errorf("shuffle: UD prime failed: %v", err)
 		}
-	}
-	for src := 0; src < e.n; src++ {
-		e.creditIssued[src] = uint64(e.perSrc)
-		e.lastWritten[src] = uint64(e.perSrc)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -100,6 +101,42 @@ func TestLossyChaosSmoke(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLossyRCKeepsOrder checks that Reliable Connection ordering survives
+// go-back-N replays on the lossy tier: a broadcast whose drops leave later
+// messages on the wire behind a hole must still deliver every row (no
+// end-of-stream marker or ValidArr announcement may overtake the data it
+// follows), and two same-seed runs in one process must agree.
+func TestLossyRCKeepsOrder(t *testing.T) {
+	const nodes, rows = 4, 1 << 13
+	for _, alg := range []shuffle.Algorithm{shuffle.ExtendedAlgorithms[0], shuffle.ExtendedAlgorithms[6]} { // MEMQ/SR, MEMQ/WR
+		t.Run(alg.Name, func(t *testing.T) {
+			var first []int64
+			for run := 0; run < 2; run++ {
+				c := New(fabric.RoCEv2Lossy(), nodes, 2, 1)
+				res, err := c.RunBench(BenchOpts{
+					Factory: RDMAProvider(alg.Config(c.Threads)), RowsPerNode: rows, GroupsFn: shuffle.Broadcast,
+				})
+				if err != nil {
+					t.Fatalf("simulation failed: %v", err)
+				}
+				if res.Err != nil {
+					t.Fatalf("run %d: %v", run, res.Err)
+				}
+				for a, got := range res.RowsPerNode {
+					if got != nodes*rows {
+						t.Fatalf("run %d: node %d received %d rows, want %d (all %v)", run, a, got, nodes*rows, res.RowsPerNode)
+					}
+				}
+				if run == 0 {
+					first = res.RowsPerNode
+				} else if fmt.Sprint(first) != fmt.Sprint(res.RowsPerNode) {
+					t.Fatalf("same-seed runs disagree: %v vs %v", first, res.RowsPerNode)
+				}
+			}
+		})
 	}
 }
 

@@ -48,8 +48,8 @@ func ExtLossy(o Options) ([]*Table, error) {
 		return nil, err
 	}
 	matrix.Notes = append(matrix.Notes,
-		"balanced repartition keeps switch queues shallow: PFC plus go-back-N absorb what",
-		"little loss pressure there is, so the Table 1 ranking survives the lossy tier")
+		"go-back-N replays every RC message behind a loss, in order: SEMQ/SR, whose one",
+		"endpoint keeps the deepest per-QP windows, exhausts its retry budget without DCQCN")
 
 	incast, err := extLossyIncast(o)
 	if err != nil {

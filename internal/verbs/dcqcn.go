@@ -136,24 +136,39 @@ func (d *Device) Rate(qpn uint32) (float64, bool) {
 
 // sendPaced routes msg through the QP's go-back-N engine and DCQCN rate
 // limiter before handing it to the fabric.
-func (qp *QP) sendPaced(msg *fabric.Message) {
+func (qp *QP) sendPaced(msg *fabric.Message, seq uint64) {
 	// Go-back-N: while a replay is pending the QP's send pointer sits behind
 	// the hole, so new data sends join the lost window and first hit the
 	// wire when the retransmission timer fires — the head-of-line stall that
 	// makes packet loss expensive on real RC hardware.
 	if qp.frozenBehindHole(msg) {
-		qp.retx.queue = append(qp.retx.queue, msg)
+		qp.enqueueLost(msg, seq)
 		return
 	}
-	qp.pacedSend(qp.dev.net.Prof.WireBytes(msg.Payload, msg.Service), func() {
-		// The release instant re-checks the hole: a loss detected while the
-		// message sat in the pacer rewinds it into the replay window too.
-		if qp.frozenBehindHole(msg) {
-			qp.retx.queue = append(qp.retx.queue, msg)
-			return
-		}
-		qp.dev.net.Transmit(msg)
-	})
+	if prof := qp.dev.prof(); !prof.Lossy || !prof.DCQCN {
+		qp.dev.net.Transmit(msg) // unpaced, see pacedSend
+		return
+	}
+	// The pacer releases the head of the QP's transmit queue, which keeps
+	// sequenced messages in sequence order: a replay queued behind
+	// not-yet-released later messages still reaches the wire first.
+	qp.txq = insertBySeq(qp.txq, retxEntry{msg, seq})
+	qp.pacedSend(qp.dev.net.Prof.WireBytes(msg.Payload, msg.Service), qp.releaseHead)
+}
+
+// releaseHead transmits the head of the transmit queue. The release instant
+// re-checks the hole: a loss detected while the message sat in the pacer
+// rewinds it into the replay window too.
+func (qp *QP) releaseHead() {
+	e := qp.txq[0]
+	n := copy(qp.txq, qp.txq[1:])
+	qp.txq[n] = retxEntry{}
+	qp.txq = qp.txq[:n]
+	if qp.frozenBehindHole(e.msg) {
+		qp.enqueueLost(e.msg, e.seq)
+		return
+	}
+	qp.dev.net.Transmit(e.msg)
 }
 
 // frozenBehindHole reports whether a pending go-back-N replay must absorb

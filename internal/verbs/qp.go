@@ -106,6 +106,9 @@ type QP struct {
 	// DCQCN profiles, sends are released no faster than the QP's current
 	// rate (see pacedSend).
 	txNextFree sim.Time
+	// txq holds the messages waiting in that token bucket, released head
+	// first (see sendPaced).
+	txq []retxEntry
 
 	state     QPState
 	destroyed bool
@@ -439,6 +442,7 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 		Payload: wr.Len, Service: qp.cfg.Type,
 	}
 	net := qp.dev.net
+	var seq uint64
 	switch qp.cfg.Type {
 	case fabric.UD:
 		// Local completion when the datagram is on the wire.
@@ -449,12 +453,13 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 		msg.Deliver = func(at sim.Time) { deliverUD(net, toNode, toQPN, qp.dev.node, qp.qpn, payload, wr) }
 		msg.Dropped = func() {}
 	case fabric.RC:
+		seq = qp.nextSeq()
 		msg.Deliver = func(at sim.Time) {
-			qp.deliverRC(toNode, toQPN, payload, wr)
+			qp.deliverRC(msg, seq, payload, wr)
 		}
-		qp.armRetry(msg, wr.ID, OpSend)
+		qp.armRetry(msg, wr.ID, OpSend, seq)
 	}
-	qp.sendPaced(msg)
+	qp.sendPaced(msg, seq)
 	return nil
 }
 
@@ -510,7 +515,8 @@ func (qp *QP) postMulticast(p *sim.Proc, wr SendWR) error {
 // connection's stall queue: the destination returned an RNR NAK and the
 // retried message must still be matched in its original order, as the
 // Reliable Connection service guarantees in-order delivery.
-func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
+func (qp *QP) deliverRC(msg *fabric.Message, seq uint64, payload []byte, wr SendWR) {
+	toNode, toQPN := qp.peerNode, qp.peerQPN
 	dst := deviceAt(qp.dev.net, toNode)
 	rqp := dst.qps[toQPN]
 	if rqp == nil || rqp.destroyed || rqp.cfg.Type != fabric.RC {
@@ -529,6 +535,9 @@ func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 		// The peer flushed its receive queue and will never post again; the
 		// sender observes the broken connection as retry exhaustion.
 		qp.errorFrom(rqp.dev, CQE{QPN: qp.qpn, WRID: wr.ID, Op: OpSend, Status: WCRetryExceeded})
+		return
+	}
+	if !qp.inOrder(msg, seq) {
 		return
 	}
 	if qp.fencedAt(dst, wr.ID, OpSend) {
@@ -726,14 +735,14 @@ func (qp *QP) postRead(wr SendWR) error {
 		// A lost response is retransmitted by the responder NIC; each leg
 		// carries its own retry_cnt budget. The responder's own QP paces the
 		// bulk leg, so a congestion-cut server streams reads at its cut rate.
-		qp.armRetry(resp, wr.ID, OpRead)
+		qp.armRetry(resp, wr.ID, OpRead, 0)
 		if rqp := remote.qps[qp.peerQPN]; rqp != nil {
-			rqp.sendPaced(resp)
+			rqp.sendPaced(resp, 0)
 		} else {
 			net.Transmit(resp)
 		}
 	}
-	qp.armRetry(req, wr.ID, OpRead)
+	qp.armRetry(req, wr.ID, OpRead, 0)
 	net.Transmit(req)
 	return nil
 }
@@ -764,8 +773,9 @@ func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
 		FromQP: qp.cacheKey(), ToQP: uint64(qp.peerNode)<<32 | uint64(qp.peerQPN),
 		Payload: wr.Len, Service: fabric.RC,
 	}
+	seq := qp.nextSeq()
 	msg.Deliver = func(at sim.Time) {
-		if qp.fencedAt(remote, wr.ID, OpWrite) {
+		if !qp.inOrder(msg, seq) || qp.fencedAt(remote, wr.ID, OpWrite) {
 			return
 		}
 		rmr := remote.mrs[wr.RemoteKey]
@@ -788,8 +798,8 @@ func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
 			qp.dev.sim.After(net.Prof.PropagationDelay, ack)
 		}
 	}
-	qp.armRetry(msg, wr.ID, OpWrite)
-	qp.sendPaced(msg)
+	qp.armRetry(msg, wr.ID, OpWrite, seq)
+	qp.sendPaced(msg, seq)
 	return nil
 }
 

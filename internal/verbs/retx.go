@@ -19,14 +19,90 @@ import (
 
 // retxState is one QP's retransmission engine.
 type retxState struct {
-	// queue is the lost window awaiting replay — dropped messages plus any
-	// data sends posted while the send pointer was rewound — in queue order.
-	queue []*fabric.Message
+	// queue is the lost window awaiting replay: dropped messages, arrivals
+	// the responder discarded behind the hole, and any data sends posted
+	// while the send pointer was rewound. Sequenced messages keep their
+	// sequence order.
+	queue []retxEntry
 	// armed guards the single pending timer.
 	armed bool
 	// timer is the pending wheel timer handle (sim.Timer), cancelled by
 	// cancelRetx.
 	timer sim.Timer
+	// txSeq numbers this QP's sequenced messages (1, 2, ...); rxSeq is the
+	// last sequence number this QP accepted from its peer.
+	txSeq, rxSeq uint64
+}
+
+// retxEntry is one message of the lost window with its sequence number
+// (0 for unsequenced legs such as RDMA Read responses).
+type retxEntry struct {
+	msg *fabric.Message
+	seq uint64
+}
+
+// nextSeq stamps the next sequenced message. RC Sends and Writes — the data
+// sends that queue behind a hole — are sequenced, so the responder can keep
+// them in order across a go-back-N replay.
+func (qp *QP) nextSeq() uint64 {
+	qp.retx.txSeq++
+	return qp.retx.txSeq
+}
+
+// inOrder is the responder's RC ordering check for an arriving message
+// stamped seq: it accepts the next expected message and reports false for
+// one that arrives past a hole — a predecessor was lost, and the real NIC
+// discards everything behind it until the go-back-N replay. The discarded
+// message rewinds into the sender's replay window without spending a retry
+// of its own, so the window replays it after the lost predecessor.
+func (qp *QP) inOrder(msg *fabric.Message, seq uint64) bool {
+	rqp := deviceAt(qp.dev.net, qp.peerNode).qps[qp.peerQPN]
+	if seq == 0 || rqp == nil {
+		return true
+	}
+	if seq <= rqp.retx.rxSeq+1 {
+		if seq == rqp.retx.rxSeq+1 {
+			rqp.retx.rxSeq = seq
+		}
+		return true
+	}
+	net := qp.dev.net
+	if net.Partitioned() && qp.dev.node != rqp.dev.node {
+		net.Route(rqp.dev.node, qp.dev.node, rqp.dev.sim.Now().Add(net.Prof.RouteLatency()),
+			func() { qp.rewind(msg, seq) })
+	} else {
+		qp.rewind(msg, seq)
+	}
+	return false
+}
+
+// rewind puts a lost message back into the replay window and arms the
+// retransmission timer.
+func (qp *QP) rewind(msg *fabric.Message, seq uint64) {
+	if qp.state == QPError || qp.destroyed {
+		return
+	}
+	qp.enqueueLost(msg, seq)
+	qp.armRetxTimer()
+}
+
+// enqueueLost adds a message to the replay window.
+func (qp *QP) enqueueLost(msg *fabric.Message, seq uint64) {
+	qp.retx.queue = insertBySeq(qp.retx.queue, retxEntry{msg, seq})
+}
+
+// insertBySeq appends e to q, moving a sequenced entry ahead of any
+// sequenced entries with a larger number: a message rewound from behind a
+// hole can reach a queue after later ones did. Unsequenced entries keep
+// their arrival order.
+func insertBySeq(q []retxEntry, e retxEntry) []retxEntry {
+	q = append(q, retxEntry{})
+	i := len(q) - 1
+	for ; e.seq != 0 && i > 0 && q[i-1].seq > e.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = e
+	return q
 }
 
 // armRetry installs the transport-loss handler on an RC message: when the
@@ -35,7 +111,7 @@ type retxState struct {
 // retransmission timer is armed. Each message carries a bounded retry budget
 // (ibv retry_cnt semantics); exhaustion errors the QP with WCRetryExceeded
 // and flushes everything outstanding.
-func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode) {
+func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode, seq uint64) {
 	prof := qp.dev.prof()
 	attempts := 0
 	drop := func() {
@@ -50,8 +126,7 @@ func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode) {
 		qp.dev.stats.TransportRetries++
 		qp.dev.tr().Instant(qp.dev.sim.Now(), telemetry.EvTransportRetry,
 			int32(qp.dev.node), qp.cacheKey(), int64(wrID), int64(attempts))
-		qp.retx.queue = append(qp.retx.queue, msg)
-		qp.armRetxTimer()
+		qp.rewind(msg, seq)
 	}
 	net := qp.dev.net
 	if net.Partitioned() && msg.To != qp.dev.node {
@@ -92,7 +167,8 @@ func (qp *QP) retxFire() {
 	window := qp.retx.queue
 	qp.retx.queue = nil
 	net := qp.dev.net
-	for _, m := range window {
+	for _, e := range window {
+		m := e.msg
 		if net.Partitioned() && m.From != qp.dev.node {
 			// A remote-NIC leg (an RDMA Read response) replays on the NIC
 			// that owns it. Partitioned profiles are lossless, so there is no
@@ -103,7 +179,7 @@ func (qp *QP) retxFire() {
 				func() { net.Transmit(m) })
 			continue
 		}
-		qp.sendPaced(m)
+		qp.sendPaced(m, e.seq)
 	}
 }
 

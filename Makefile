@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full perfbench-test vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-gate profile
+.PHONY: build test test-full perfbench-test vet race fmt fmt-check trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-gate profile
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,10 @@ race:
 
 fmt:
 	gofmt -l -w .
+
+# Fail if any Go file is not gofmt-clean (CI gate; `make fmt` fixes it).
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # Run a short traced benchmark twice with the same seed and check the
 # exported Chrome traces are byte-identical (the determinism oracle); the

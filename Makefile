@@ -93,14 +93,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowMerge$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
-# Wall-clock benchmarks: kernel micro (events/sec, ns/dispatch, allocs/event)
-# plus whole-query macro, exported as BENCH_sim.json for regression tracking.
+# Wall-clock benchmarks: kernel micro (events/sec, ns/dispatch, allocs/event),
+# engine operators (scan, hash join), verbs RC post→CQE, input-table
+# generation and whole-query macro, exported as BENCH_sim.json for regression
+# tracking.
 # Each run appends to the file's run history (the old single-run schema is
 # absorbed as the first entry), so repeated invocations build a series.
 # benchjson is built before the benchmarks start: `go test | go run ...`
 # compiles the consumer concurrently with the first benchmarks in the pipe,
 # which inflates their ns/op on small machines.
-BENCH_PKGS = ./internal/sim/ ./internal/cluster/
+BENCH_PKGS = ./internal/sim/ ./internal/engine/ ./internal/verbs/ ./internal/cluster/
 bench:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/benchjson ./cmd/benchjson && \

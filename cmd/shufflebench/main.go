@@ -268,12 +268,13 @@ func runMetrics(w io.Writer, seed int64) error {
 		c.Sim.Spawn("build", func(p *sim.Proc) {
 			shuffle.Build(p, c.Devs, cfg, c.Threads)
 		})
-		if err := c.Sim.Run(); err != nil {
+		err := c.Sim.Run()
+		c.Recycle()
+		if err != nil {
 			return fmt.Errorf("%s: %v", name, err)
 		}
-		reg := c.Metrics()
 		fmt.Fprintf(w, "  %-8s %12d\n", strings.SplitN(name, "/", 2)[0],
-			reg.CounterValue("verbs.qps_created.node0")/2)
+			c.Metrics().CounterValue("verbs.qps_created.node0")/2)
 	}
 
 	const rows = 2048

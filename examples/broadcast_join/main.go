@@ -93,6 +93,7 @@ func main() {
 	if err := c.Sim.Run(); err != nil {
 		log.Fatal(err)
 	}
+	c.Recycle()
 	if want := int64(nodes * factRows); total != want {
 		log.Fatalf("joined %d rows, want %d (every fact matches one dimension row)", total, want)
 	}

@@ -101,6 +101,7 @@ func main() {
 	if err := c.Sim.Run(); err != nil {
 		log.Fatal(err)
 	}
+	c.Recycle()
 
 	// Sanity check against a sequential join.
 	counts := map[int64]int64{}

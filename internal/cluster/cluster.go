@@ -191,15 +191,13 @@ func SyntheticTable(seed int64, rows int) *engine.Table {
 // domain: with exponent s > 0 some partitions receive far more data than
 // others, the skew scenario the flow-join line of work targets (paper §6).
 func SyntheticTableZipf(seed int64, rows int, domain uint64, exponent float64) *engine.Table {
-	sch := engine.NewSchema(engine.TInt64, engine.TInt64)
-	t := engine.NewTable(sch)
-	w := engine.NewWriter(t)
+	t := zeroTable(engine.NewSchema(engine.TInt64, engine.TInt64), rows)
 	r := rand.New(rand.NewSource(seed))
 	z := rand.NewZipf(r, 1+exponent, 1, domain-1)
 	for i := 0; i < rows; i++ {
-		w.SetInt64(0, int64(z.Uint64()))
-		w.SetInt64(1, int64(i))
-		w.Done()
+		row := t.Row(i)
+		engine.RowSetInt64(t.Sch, row, 0, int64(z.Uint64()))
+		engine.RowSetInt64(t.Sch, row, 1, int64(i))
 	}
 	return t
 }
@@ -215,15 +213,20 @@ func SyntheticTableWide(seed int64, rows, width int) *engine.Table {
 	for i := range cols {
 		cols[i] = engine.TInt64
 	}
-	t := engine.NewTable(engine.NewSchema(cols...))
-	w := engine.NewWriter(t)
+	t := zeroTable(engine.NewSchema(cols...), rows)
 	rng := newSplitMix(uint64(seed))
 	for i := 0; i < rows; i++ {
-		w.SetInt64(0, int64(rng.next()))
-		w.SetInt64(1, int64(i))
-		w.Done()
+		row := t.Row(i)
+		engine.RowSetInt64(t.Sch, row, 0, int64(rng.next()))
+		engine.RowSetInt64(t.Sch, row, 1, int64(i))
 	}
 	return t
+}
+
+// zeroTable returns a table of rows all-zero rows in one exact-size
+// allocation, for the generators to fill in place.
+func zeroTable(sch *engine.Schema, rows int) *engine.Table {
+	return &engine.Table{Sch: sch, Data: make([]byte, rows*sch.Width()), N: rows}
 }
 
 // splitMix is a tiny deterministic generator so table synthesis does not

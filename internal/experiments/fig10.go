@@ -169,7 +169,9 @@ func Fig12(o Options) (*Table, error) {
 					comm := shuffle.Build(p, c.Devs, a.Config(prof.Threads), c.Threads)
 					row.Vals[i] = comm.SetupTime.Seconds() * 1e3
 				})
-				return c.Sim.Run()
+				err := c.Sim.Run()
+				c.Recycle()
+				return err
 			})
 		}
 		t.Rows = append(t.Rows, row)

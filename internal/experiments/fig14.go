@@ -178,7 +178,9 @@ func Table1(o Options) (*Table, error) {
 			c.Sim.Spawn("census", func(p *sim.Proc) {
 				qps = shuffle.Build(p, c.Devs, a.Config(threads), threads).QPsPerOperator
 			})
-			if err := c.Sim.Run(); err != nil {
+			err := c.Sim.Run()
+			c.Recycle()
+			if err != nil {
 				return err
 			}
 			want := map[string]int{

@@ -151,10 +151,16 @@ func Generate(sf float64, nodes int, layout Layout, seed int64) *DB {
 	db.Customer = make([]*engine.Table, nodes)
 	db.Orders = make([]*engine.Table, nodes)
 	db.Lineitem = make([]*engine.Table, nodes)
+	cw := make([]*engine.Writer, nodes)
+	ow := make([]*engine.Writer, nodes)
+	lw := make([]*engine.Writer, nodes)
 	for i := 0; i < nodes; i++ {
 		db.Customer[i] = engine.NewTable(CustomerSchema)
 		db.Orders[i] = engine.NewTable(OrdersSchema)
 		db.Lineitem[i] = engine.NewTable(LineitemSchema)
+		cw[i] = engine.NewWriter(db.Customer[i])
+		ow[i] = engine.NewWriter(db.Orders[i])
+		lw[i] = engine.NewWriter(db.Lineitem[i])
 	}
 	r := &rng{x: uint64(seed)*2654435761 + 1}
 
@@ -170,7 +176,7 @@ func Generate(sf float64, nodes int, layout Layout, seed int64) *DB {
 		if layout == CoPartitioned {
 			node = partKey(uint64(ck), nodes)
 		}
-		w := engine.NewWriter(db.Customer[node])
+		w := cw[node]
 		w.SetInt64(CCustKey, int64(ck))
 		w.SetInt64(CMktSegment, int64(r.intn(5)))
 		w.SetInt64(CNationKey, int64(r.intn(25)))
@@ -185,6 +191,7 @@ func Generate(sf float64, nodes int, layout Layout, seed int64) *DB {
 
 	// ORDERS and LINEITEM. Order keys are sparse as in TPC-H.
 	lastDate := int(Date(1998, 8, 2))
+	returnCutoff := Date(1995, 6, 17)
 	for i := 1; i <= nOrders; i++ {
 		ok := int64(i*8 - 7)
 		node := r.intn(nodes)
@@ -192,7 +199,7 @@ func Generate(sf float64, nodes int, layout Layout, seed int64) *DB {
 			node = partKey(uint64(ok), nodes)
 		}
 		odate := int64(r.intn(lastDate - 151))
-		w := engine.NewWriter(db.Orders[node])
+		w := ow[node]
 		w.SetInt64(OOrderKey, ok)
 		w.SetInt64(OCustKey, int64(1+r.intn(nCust)))
 		w.SetInt64(OOrderDate, odate)
@@ -208,35 +215,35 @@ func Generate(sf float64, nodes int, layout Layout, seed int64) *DB {
 				lnode = partKey(uint64(ok), nodes)
 			}
 			ship := odate + int64(r.rangeI(1, 121))
-			lw := engine.NewWriter(db.Lineitem[lnode])
-			lw.SetInt64(LOrderKey, ok)
-			lw.SetFloat64(LExtendedPrice, 901.0+r.f64()*104049.0)
-			lw.SetFloat64(LDiscount, float64(r.intn(11))/100)
-			lw.SetInt64(LShipDate, ship)
-			lw.SetInt64(LCommitDate, odate+int64(r.rangeI(30, 90)))
-			lw.SetInt64(LReceiptDate, ship+int64(r.rangeI(1, 30)))
+			w := lw[lnode]
+			w.SetInt64(LOrderKey, ok)
+			w.SetFloat64(LExtendedPrice, 901.0+r.f64()*104049.0)
+			w.SetFloat64(LDiscount, float64(r.intn(11))/100)
+			w.SetInt64(LShipDate, ship)
+			w.SetInt64(LCommitDate, odate+int64(r.rangeI(30, 90)))
+			w.SetInt64(LReceiptDate, ship+int64(r.rangeI(1, 30)))
 			flag := int64(0)
-			if ship+int64(r.rangeI(1, 30)) <= Date(1995, 6, 17) && r.intn(2) == 0 {
+			if ship+int64(r.rangeI(1, 30)) <= returnCutoff && r.intn(2) == 0 {
 				flag = ReturnFlagR
 			}
-			lw.SetInt64(LReturnFlag, flag)
-			lw.Done()
+			w.SetInt64(LReturnFlag, flag)
+			w.Done()
 			db.NLineitem++
 		}
 	}
 
 	// NATION and REGION, replicated (only 25 and 5 rows).
 	db.Nation = engine.NewTable(NationSchema)
+	w := engine.NewWriter(db.Nation)
 	for nk := 0; nk < 25; nk++ {
-		w := engine.NewWriter(db.Nation)
 		w.SetInt64(NNationKey, int64(nk))
 		w.SetStr(NName, fmt.Sprintf("NATION %02d", nk))
 		w.SetInt64(NRegionKey, int64(nk%5))
 		w.Done()
 	}
 	db.Region = engine.NewTable(engine.NewSchema(engine.TInt64, engine.TStr16))
+	w = engine.NewWriter(db.Region)
 	for rk := 0; rk < 5; rk++ {
-		w := engine.NewWriter(db.Region)
 		w.SetInt64(0, int64(rk))
 		w.SetStr(1, fmt.Sprintf("REGION %d", rk))
 		w.Done()

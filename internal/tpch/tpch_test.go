@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"sort"
 	"testing"
@@ -343,6 +345,33 @@ func TestQ4AllTransportsAgree(t *testing.T) {
 			if b.Float64(0, 1) != want[b.Str(0, 0)] {
 				t.Fatalf("%s: %s = %v, want %v", name, b.Str(0, 0), b.Float64(0, 1), want[b.Str(0, 0)])
 			}
+		}
+	}
+}
+
+// TestGenerateDigest pins the generated database byte for byte on both
+// layouts, so a change to how tables are built cannot change what they
+// hold.
+func TestGenerateDigest(t *testing.T) {
+	for _, c := range []struct {
+		layout Layout
+		want   string
+	}{
+		{Random, "82ec5a10319887b1"},
+		{CoPartitioned, "27219ddd03a2d075"},
+	} {
+		db := Generate(0.02, 8, c.layout, 1)
+		h := sha256.New()
+		var tables []*engine.Table
+		for i := 0; i < db.Nodes; i++ {
+			tables = append(tables, db.Customer[i], db.Orders[i], db.Lineitem[i])
+		}
+		for _, tbl := range append(tables, db.Nation, db.Region) {
+			h.Write([]byte{byte(tbl.N), byte(tbl.N >> 8), byte(tbl.N >> 16), byte(tbl.N >> 24)})
+			h.Write(tbl.Data)
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != c.want {
+			t.Errorf("layout %d: digest %s, want %s", c.layout, got, c.want)
 		}
 	}
 }

@@ -28,23 +28,32 @@ import (
 // arrays, valid/slot markers) must NOT come from the pool; keep allocating
 // those fresh.
 //
-// The pool is an explicitly budgeted LIFO free list per power-of-two size
-// class, not a sync.Pool: sync.Pool's GC-epoch retention let long sweeps
-// (hundreds of clusters between collections) accumulate gigabytes of dead
-// rings, which in turn stretched the GC pacing goal and slowed every later
-// simulation in the process. Here Put drops buffers beyond a fixed
-// process-wide byte budget, so retention is bounded by bufPoolBudget no
-// matter how many clusters a sweep builds, and the GC never interacts with
-// the pool at all. The budget comfortably holds one cluster generation's
-// rings — which is all reuse needs, since experiment cells build and retire
-// clusters serially. Pool hits are non-deterministic under parallel cells
-// (classes are shared process-wide), but only buffer identity varies —
-// never simulated behaviour, because contents are invisible (above) and
-// virtual time is independent of host memory.
+// The pool is an explicitly budgeted LIFO free list per size class, not a
+// sync.Pool: sync.Pool's GC-epoch retention let long sweeps (hundreds of
+// clusters between collections) accumulate gigabytes of dead rings, which
+// in turn stretched the GC pacing goal and slowed every later simulation in
+// the process. Here Put drops buffers beyond a fixed process-wide byte
+// budget, so retention is bounded by bufPoolBudget no matter how many
+// clusters a sweep builds, and the GC never interacts with the pool at all.
+// The budget holds one cluster generation's rings — which is all reuse
+// needs, since experiment cells build and retire clusters serially. Pool
+// hits are non-deterministic under parallel cells (classes are shared
+// process-wide), but only buffer identity varies — never simulated
+// behaviour, because contents are invisible (above) and virtual time is
+// independent of host memory.
+//
+// Classes are exact-fit: each power of two from 4 KiB to 256 MiB is split
+// into bufClassSteps equal steps (5, 6, 7 and 8 KiB above 4 KiB, and so on
+// up), so a ring never costs more than 1.25× its registered size and the
+// common ring sizes (224 MiB = 7·32 MiB, say) cost exactly what they
+// register. Power-of-two classes doubled the worst case, which pushed one
+// 64-node generation's rings past the budget and made every query
+// reallocate them.
 
 const (
 	bufClassMinBits = 12 // 4 KiB: below this, pooling saves less than it costs
 	bufClassMaxBits = 28 // 256 MiB: largest ring any experiment builds
+	bufClassSteps   = 4  // classes per power of two (a power of two itself included)
 
 	// bufPoolBudget caps the total bytes retained across all classes.
 	// Beyond it, putBuf drops buffers for the GC to reclaim.
@@ -52,7 +61,7 @@ const (
 )
 
 var (
-	bufClasses  [bufClassMaxBits - bufClassMinBits + 1]bufClassList
+	bufClasses  [(bufClassMaxBits-bufClassMinBits)*bufClassSteps + 1]bufClassList
 	bufRetained atomic.Int64 // bytes currently parked across all classes
 )
 
@@ -65,16 +74,30 @@ type bufClassList struct {
 }
 
 // bufClass returns the index of the smallest class holding n bytes, or -1
-// when n falls outside the pooled range.
+// when n falls outside the pooled range. Class 0 is 4 KiB; above it, n in
+// (2^e, 2^(e+1)] lands on the first of 2^e + k·2^e/bufClassSteps,
+// k = 1..bufClassSteps, that holds it.
 func bufClass(n int) int {
 	if n <= 0 || n > 1<<bufClassMaxBits {
 		return -1
 	}
-	b := bits.Len(uint(n - 1)) // ceil(log2 n)
-	if b < bufClassMinBits {
-		b = bufClassMinBits
+	if n <= 1<<bufClassMinBits {
+		return 0
 	}
-	return b - bufClassMinBits
+	e := bits.Len(uint(n-1)) - 1 // 2^e < n <= 2^(e+1)
+	shift := e - bits.Len(bufClassSteps-1)
+	k := (n - 1<<e + 1<<shift - 1) >> shift // ceil((n - 2^e) / step), 1..bufClassSteps
+	return (e-bufClassMinBits)*bufClassSteps + k
+}
+
+// bufClassSize returns the capacity of class c.
+func bufClassSize(c int) int {
+	if c == 0 {
+		return 1 << bufClassMinBits
+	}
+	e := bufClassMinBits + (c-1)/bufClassSteps
+	k := (c-1)%bufClassSteps + 1
+	return 1<<e + k<<(e-bits.Len(bufClassSteps-1))
 }
 
 // getBuf returns an n-byte slice backed by a pooled class-sized array, or a
@@ -96,24 +119,25 @@ func getBuf(n int) []byte {
 		return b[:n]
 	}
 	cl.mu.Unlock()
-	return make([]byte, n, 1<<(c+bufClassMinBits))
+	return make([]byte, n, bufClassSize(c))
 }
 
 // putBuf returns a buffer obtained from getBuf to its class. Buffers whose
 // capacity is not an exact class size (out-of-range allocations) or that
 // would push retention past bufPoolBudget are left for the GC.
 func putBuf(b []byte) {
-	c := cap(b)
-	if c < 1<<bufClassMinBits || c&(c-1) != 0 || c > 1<<bufClassMaxBits {
+	n := cap(b)
+	c := bufClass(n)
+	if c < 0 || bufClassSize(c) != n {
 		return
 	}
-	if bufRetained.Add(int64(c)) > bufPoolBudget {
-		bufRetained.Add(-int64(c))
+	if bufRetained.Add(int64(n)) > bufPoolBudget {
+		bufRetained.Add(-int64(n))
 		return
 	}
-	cl := &bufClasses[bits.Len(uint(c))-1-bufClassMinBits]
+	cl := &bufClasses[c]
 	cl.mu.Lock()
-	cl.bufs = append(cl.bufs, b[:c])
+	cl.bufs = append(cl.bufs, b[:n])
 	cl.mu.Unlock()
 }
 

@@ -88,7 +88,7 @@ type QP struct {
 	// post-reboot memory. Zero means unfenced (peer not epoch-aware).
 	peerEpoch uint64
 
-	recvQ       []RecvWR
+	recvQ       fifo[RecvWR]
 	outstanding int
 	// inflight tracks posted sends in order, so that an error transition
 	// can flush them deterministically.
@@ -145,10 +145,11 @@ func (d *Device) CreateQP(cfg QPConfig) *QP {
 	d.nextQPN++
 	d.stats.QPsCreated++
 	qp := &QP{
-		dev: d,
-		qpn: d.nextQPN,
-		cfg: cfg,
-		mu:  d.sim.NewMutex(fmt.Sprintf("qp%d@%d", d.nextQPN, d.node)),
+		dev:   d,
+		qpn:   d.nextQPN,
+		cfg:   cfg,
+		mu:    d.sim.NewMutex(fmt.Sprintf("qp%d@%d", d.nextQPN, d.node)),
+		recvQ: newFIFO[RecvWR](cfg.MaxRecv),
 	}
 	d.qps[qp.qpn] = qp
 	return qp
@@ -245,7 +246,7 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	if qp.state == QPError {
 		return ErrQPError
 	}
-	if len(qp.recvQ) >= qp.cfg.MaxRecv {
+	if qp.recvQ.full() {
 		return ErrRQFull
 	}
 	if wr.Offset < 0 || wr.Offset+wr.Len > len(wr.MR.Buf) {
@@ -254,13 +255,13 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	if qp.cfg.Type == fabric.UD && wr.Len <= GRHSize {
 		return ErrTooLong
 	}
-	qp.recvQ = append(qp.recvQ, wr)
+	qp.recvQ.push(wr)
 	qp.armRNRTimer()
 	return nil
 }
 
 // RecvQueued returns the number of posted, unmatched receive buffers.
-func (qp *QP) RecvQueued() int { return len(qp.recvQ) }
+func (qp *QP) RecvQueued() int { return qp.recvQ.len() }
 
 // PostSend posts a Send, Read, or Write work request. It never blocks on
 // the network; completion arrives on the send CQ.
@@ -362,10 +363,10 @@ func (qp *QP) enterError(trigger CQE) {
 		qp.cfg.SendCQ.pushFlush(CQE{QPN: qp.qpn, WRID: w.id, Op: w.op, Status: WCFlushErr})
 	}
 	qp.inflight = nil
-	for _, rwr := range qp.recvQ {
+	for qp.recvQ.len() > 0 {
+		rwr := qp.recvQ.pop()
 		qp.cfg.RecvCQ.pushFlush(CQE{QPN: qp.qpn, WRID: rwr.ID, Op: OpRecv, Status: WCFlushErr})
 	}
-	qp.recvQ = nil
 	qp.stalled = nil
 	// Wake pollers that wait on memory changes rather than CQs (one-sided
 	// protocols) so they observe the failure promptly.
@@ -393,10 +394,10 @@ func (qp *QP) forceError(st WCStatus) {
 		qp.cfg.SendCQ.pushFlush(CQE{QPN: qp.qpn, WRID: w.id, Op: w.op, Status: st})
 	}
 	qp.inflight = nil
-	for _, rwr := range qp.recvQ {
+	for qp.recvQ.len() > 0 {
+		rwr := qp.recvQ.pop()
 		qp.cfg.RecvCQ.pushFlush(CQE{QPN: qp.qpn, WRID: rwr.ID, Op: OpRecv, Status: WCFlushErr})
 	}
-	qp.recvQ = nil
 	qp.stalled = nil
 	qp.dev.memWake.Broadcast()
 }
@@ -430,11 +431,7 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 		// The CPU copies the payload into the WQE; charged here.
 		p.Sleep(sim.Duration(float64(wr.Len) * prof.MemCopyPerByte))
 	}
-	// Snapshot the payload: the NIC DMA-reads it during transmission, and a
-	// correct application may reuse the buffer after the send completion,
-	// which for UD fires before delivery.
-	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Buf[wr.Offset:wr.Offset+wr.Len])
+	payload := sendPayload(qp.cfg.Type, wr)
 
 	msg := &fabric.Message{
 		From: qp.dev.node, To: toNode,
@@ -463,6 +460,23 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 	return nil
 }
 
+// sendPayload returns the bytes a Send or Write carries. The NIC reads a
+// registered buffer when it transmits, so an RC payload is a view of
+// wr.MR.Buf that the message copies out when it matches a receive or lands
+// in remote memory: the buffer stays the NIC's until the send completion,
+// which follows delivery. Two cases are snapshotted at post instead. An
+// inline post has the CPU copy the payload into the WQE, and its buffer
+// (stage and credit words) may be rewritten as soon as the post returns. A
+// UD send completes when the datagram is on the wire, before it is
+// delivered, so its buffer may be reused while the datagram is in flight.
+func sendPayload(svc fabric.Service, wr SendWR) []byte {
+	b := wr.MR.Buf[wr.Offset : wr.Offset+wr.Len]
+	if wr.Inline || svc == fabric.UD {
+		return append([]byte(nil), b...)
+	}
+	return b
+}
+
 // postMulticast sends one datagram to every QP attached to the MGID.
 func (qp *QP) postMulticast(p *sim.Proc, wr SendWR) error {
 	if wr.Inline {
@@ -471,8 +485,7 @@ func (qp *QP) postMulticast(p *sim.Proc, wr SendWR) error {
 		}
 		p.Sleep(sim.Duration(float64(wr.Len) * qp.dev.prof().MemCopyPerByte))
 	}
-	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Buf[wr.Offset:wr.Offset+wr.Len])
+	payload := sendPayload(fabric.UD, wr)
 
 	net := qp.dev.net
 	// The switch knows the membership; collect member nodes and their
@@ -545,7 +558,7 @@ func (qp *QP) deliverRC(msg *fabric.Message, seq uint64, payload []byte, wr Send
 		// consume a post-reboot receive buffer.
 		return
 	}
-	if len(rqp.stalled) > 0 || len(rqp.recvQ) == 0 {
+	if len(rqp.stalled) > 0 || rqp.recvQ.len() == 0 {
 		// The RNR NAK is generated here, at the responder; partitioned runs
 		// therefore count it on the responder device (whose partition is
 		// executing), while the legacy path keeps its historical requester
@@ -568,8 +581,7 @@ func (qp *QP) deliverRC(msg *fabric.Message, seq uint64, payload []byte, wr Send
 // completions.
 func (rqp *QP) match(m stalledRC) {
 	net := rqp.dev.net
-	rwr := rqp.recvQ[0]
-	rqp.recvQ = rqp.recvQ[1:]
+	rwr := rqp.recvQ.pop()
 	if rwr.Len < len(m.payload) {
 		panic(fmt.Sprintf("verbs: RC recv buffer too small (%d < %d) on node %d",
 			rwr.Len, len(m.payload), rqp.dev.node))
@@ -618,7 +630,7 @@ func (rqp *QP) rnrTick() {
 		rqp.stalled = nil
 		return
 	}
-	for len(rqp.stalled) > 0 && len(rqp.recvQ) > 0 {
+	for len(rqp.stalled) > 0 && rqp.recvQ.len() > 0 {
 		m := rqp.stalled[0]
 		rqp.stalled = rqp.stalled[1:]
 		rqp.match(m)
@@ -669,19 +681,17 @@ func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQP
 		dst.stats.UDNoRecvDrops++
 		return
 	}
-	if len(rqp.recvQ) == 0 {
+	if rqp.recvQ.len() == 0 {
 		dst.stats.UDNoRecvDrops++
 		return
 	}
-	rwr := rqp.recvQ[0]
+	rwr := rqp.recvQ.pop()
 	if rwr.Len < GRHSize+len(payload) {
 		// Real hardware completes this receive in error; the common outcome
 		// for the application is a lost message.
-		rqp.recvQ = rqp.recvQ[1:]
 		dst.stats.UDNoRecvDrops++
 		return
 	}
-	rqp.recvQ = rqp.recvQ[1:]
 	copy(rwr.MR.Buf[rwr.Offset+GRHSize:], payload)
 	dst.stats.RecvsCompleted++
 	rqp.cfg.RecvCQ.push(CQE{
@@ -764,8 +774,7 @@ func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
 		}
 		p.Sleep(sim.Duration(float64(wr.Len) * prof.MemCopyPerByte))
 	}
-	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Buf[wr.Offset:wr.Offset+wr.Len])
+	payload := sendPayload(fabric.RC, wr)
 	net := qp.dev.net
 	remote := deviceAt(net, qp.peerNode)
 	msg := &fabric.Message{

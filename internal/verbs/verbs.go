@@ -467,8 +467,7 @@ func (e CQE) Err() error {
 // CQ is a completion queue.
 type CQ struct {
 	dev     *Device
-	cap     int
-	entries []CQE
+	entries fifo[CQE]
 	cond    *sim.Cond
 }
 
@@ -476,17 +475,17 @@ type CQ struct {
 // entries; overflowing it panics, as a CQ overrun is a protocol bug.
 func (d *Device) CreateCQ(capacity int) *CQ {
 	return &CQ{
-		dev:  d,
-		cap:  capacity,
-		cond: d.sim.NewCond(fmt.Sprintf("cq@%d", d.node)),
+		dev:     d,
+		entries: newFIFO[CQE](capacity),
+		cond:    d.sim.NewCond(fmt.Sprintf("cq@%d", d.node)),
 	}
 }
 
 func (cq *CQ) push(e CQE) {
-	if len(cq.entries) >= cq.cap {
-		panic(fmt.Sprintf("verbs: CQ overrun on node %d (cap %d)", cq.dev.node, cq.cap))
+	if cq.entries.full() {
+		panic(fmt.Sprintf("verbs: CQ overrun on node %d (cap %d)", cq.dev.node, cq.entries.depth))
 	}
-	cq.entries = append(cq.entries, e)
+	cq.entries.push(e)
 	cq.cond.Broadcast()
 }
 
@@ -495,7 +494,7 @@ func (cq *CQ) push(e CQE) {
 // errors out at once); real hardware reports these through the same CQ, and
 // panicking here would turn a survivable fault into a crash.
 func (cq *CQ) pushFlush(e CQE) {
-	cq.entries = append(cq.entries, e)
+	cq.entries.push(e)
 	cq.cond.Broadcast()
 }
 
@@ -504,11 +503,7 @@ func (cq *CQ) pushFlush(e CQE) {
 func (cq *CQ) Poll(p *sim.Proc, dst []CQE) int {
 	p.Sleep(cq.dev.prof().PollCost)
 	cq.dev.stats.Polls++
-	n := copy(dst, cq.entries)
-	cq.entries = cq.entries[n:]
-	if len(cq.entries) == 0 {
-		cq.entries = nil
-	}
+	n := cq.entries.popInto(dst)
 	if n > 0 {
 		// Empty polls are the receive loop's idle spin; only fruitful ones
 		// carry timeline information worth a trace slot.
@@ -521,7 +516,7 @@ func (cq *CQ) Poll(p *sim.Proc, dst []CQE) int {
 // like Poll. Blocking models a spin-poll loop whose idle iterations are not
 // charged (the paper reports receive-side threads up to 90% idle).
 func (cq *CQ) WaitPoll(p *sim.Proc, dst []CQE) int {
-	for len(cq.entries) == 0 {
+	for cq.entries.len() == 0 {
 		cq.cond.Wait(p)
 	}
 	return cq.Poll(p, dst)
@@ -529,14 +524,14 @@ func (cq *CQ) WaitPoll(p *sim.Proc, dst []CQE) int {
 
 // WaitPollTimeout is WaitPoll with a deadline; it returns 0 on timeout.
 func (cq *CQ) WaitPollTimeout(p *sim.Proc, dst []CQE, timeout sim.Duration) int {
-	if len(cq.entries) == 0 {
-		if !cq.cond.WaitTimeout(p, timeout) && len(cq.entries) == 0 {
+	if cq.entries.len() == 0 {
+		if !cq.cond.WaitTimeout(p, timeout) && cq.entries.len() == 0 {
 			return 0
 		}
 	}
-	for len(cq.entries) == 0 {
+	for cq.entries.len() == 0 {
 		// A spurious wake; keep waiting within a fresh timeout window.
-		if !cq.cond.WaitTimeout(p, timeout) && len(cq.entries) == 0 {
+		if !cq.cond.WaitTimeout(p, timeout) && cq.entries.len() == 0 {
 			return 0
 		}
 	}
@@ -547,7 +542,7 @@ func (cq *CQ) WaitPollTimeout(p *sim.Proc, dst []CQE, timeout sim.Duration) int 
 // timeout elapses, without consuming anything. It returns false on timeout.
 // Use it in loops that must also observe conditions other than the CQ.
 func (cq *CQ) WaitNonEmpty(p *sim.Proc, timeout sim.Duration) bool {
-	if len(cq.entries) > 0 {
+	if cq.entries.len() > 0 {
 		return true
 	}
 	if timeout <= 0 {
@@ -563,7 +558,7 @@ func (cq *CQ) WaitNonEmpty(p *sim.Proc, timeout sim.Duration) bool {
 func (cq *CQ) Kick() { cq.cond.Broadcast() }
 
 // Len returns the number of queued completions.
-func (cq *CQ) Len() int { return len(cq.entries) }
+func (cq *CQ) Len() int { return cq.entries.len() }
 
 // PutUint64 and ReadUint64 are helpers for protocols that poll plain
 // memory words updated by remote writes (credit counters, circular-queue

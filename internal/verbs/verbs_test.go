@@ -342,6 +342,37 @@ func TestRDMAWriteUpdatesRemoteMemory(t *testing.T) {
 	}
 }
 
+// TestInlineWriteSnapshotsAtPost pins the one case where the post-time
+// payload copy is load-bearing: an inline Write's buffer (a stage or credit
+// word) is rewritten right after the post returns, and the remote side must
+// still receive the value it held when it was posted.
+func TestInlineWriteSnapshotsAtPost(t *testing.T) {
+	r := newRig(t, 2)
+	qpa, _, cqa, _ := r.rcPair(0, 1)
+	remote := make([]byte, 8)
+	rmr := r.devs[1].RegisterMRNoCost(remote)
+	r.sim.Spawn("writer", func(p *sim.Proc) {
+		stage := make([]byte, 8)
+		lmr := r.devs[0].RegisterMRNoCost(stage)
+		PutUint64(stage, 1)
+		err := qpa.PostSend(p, SendWR{Op: OpWrite, MR: lmr, Len: 8, Inline: true,
+			RemoteKey: rmr.RKey})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		PutUint64(stage, 2) // the next stage value, before the first lands
+		var es [1]CQE
+		cqa.WaitPoll(p, es[:])
+	})
+	if err := r.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ReadUint64(remote); got != 1 {
+		t.Fatalf("remote word = %d, want the value at post (1)", got)
+	}
+}
+
 func TestRDMAReadPullsRemoteMemory(t *testing.T) {
 	r := newRig(t, 2)
 	qpa, _, cqa, _ := r.rcPair(0, 1)
